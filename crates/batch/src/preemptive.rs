@@ -18,10 +18,29 @@
 //!
 //! The index is computed numerically on a quantum grid; the scheduler is a
 //! discrete-review simulator with a configurable review period.
+//!
+//! ## The (job, k) index table
+//!
+//! A job's index depends only on its distribution, its weight and its
+//! attained service, and between completions attained service moves in
+//! whole review periods.  A job that has been served `k` quanta has
+//! attained exactly the `k`-fold sum `0.0 + review_period + …`, with the
+//! same bits in every replication, so its index is a pure function of
+//! `(job, k)`.  [`PreemptiveIndexTable`] therefore keeps one lazily grown
+//! row per job: entry `k` is evaluated once, on first need, from that
+//! running sum, and is reused at every later review epoch and in every
+//! later replication.
+//!
+//! The key is the quanta count, but the value is computed from the
+//! accumulated `attained`, never from `k as f64 * review_period`: the
+//! product rounds differently from the sum, and the index must see the
+//! exact bits the per-epoch recomputation saw for the outcomes to stay
+//! bit-identical.
 
 use rand::RngCore;
 use ss_core::instance::BatchInstance;
 use ss_distributions::ServiceDistribution;
+use std::fmt;
 
 /// Numerically evaluate the Gittins/Sevcik index of a job with weight
 /// `weight`, processing-time distribution `dist` and attained service `a`.
@@ -126,77 +145,194 @@ impl Default for PreemptiveConfig {
     }
 }
 
-/// Simulate one realisation of the Gittins-index preemptive policy on a
-/// single machine.
+impl PreemptiveConfig {
+    /// Check the preconditions the simulator and the index grid rely on.
+    ///
+    /// A review period that is not finite and positive would never let a
+    /// job's attained service reach its size, so the simulator would loop
+    /// forever; the grid checks are the ones [`gittins_service_rate`]
+    /// asserts.
+    pub fn validate(&self) -> Result<(), PreemptiveConfigError> {
+        if !(self.review_period.is_finite() && self.review_period > 0.0) {
+            return Err(PreemptiveConfigError::ReviewPeriod(self.review_period));
+        }
+        if self.min_quantum.is_nan() || self.min_quantum <= 0.0 {
+            return Err(PreemptiveConfigError::MinQuantum(self.min_quantum));
+        }
+        if self.index_horizon.is_nan() || self.index_horizon <= self.min_quantum {
+            return Err(PreemptiveConfigError::IndexHorizon {
+                min_quantum: self.min_quantum,
+                index_horizon: self.index_horizon,
+            });
+        }
+        if self.grid_points < 2 {
+            return Err(PreemptiveConfigError::GridPoints(self.grid_points));
+        }
+        Ok(())
+    }
+}
+
+/// A [`PreemptiveConfig`] rejected by [`PreemptiveConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PreemptiveConfigError {
+    /// `review_period` is not finite and positive.
+    ReviewPeriod(f64),
+    /// `min_quantum` is not positive.
+    MinQuantum(f64),
+    /// `index_horizon` does not exceed `min_quantum`.
+    IndexHorizon {
+        min_quantum: f64,
+        index_horizon: f64,
+    },
+    /// `grid_points` is below 2.
+    GridPoints(usize),
+}
+
+impl fmt::Display for PreemptiveConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::ReviewPeriod(v) => {
+                write!(f, "review_period must be finite and positive, got {v:?}")
+            }
+            Self::MinQuantum(v) => write!(f, "min_quantum must be positive, got {v:?}"),
+            Self::IndexHorizon {
+                min_quantum,
+                index_horizon,
+            } => write!(
+                f,
+                "index_horizon must exceed min_quantum, got {index_horizon:?} <= {min_quantum:?}"
+            ),
+            Self::GridPoints(n) => write!(f, "grid_points must be at least 2, got {n}"),
+        }
+    }
+}
+
+impl std::error::Error for PreemptiveConfigError {}
+
+/// The Gittins-index preemptive scheduler of one instance, with each job's
+/// index tabulated by quanta served (see the module docs).
 ///
-/// Processing times are sampled up front (the scheduler never sees them);
-/// at each review epoch the job with the largest current index receives the
-/// next quantum of service.
+/// Entries are computed on first need and kept, so one table reused across
+/// replications evaluates each `(job, k)` once in total.  Reuse changes no
+/// outcome bit and draws nothing from the RNG.
+pub struct PreemptiveIndexTable<'a> {
+    instance: &'a BatchInstance,
+    config: &'a PreemptiveConfig,
+    /// `index[i][k]`: job `i`'s index after `k` quanta of service.
+    index: Vec<Vec<f64>>,
+}
+
+impl<'a> PreemptiveIndexTable<'a> {
+    /// An empty table for `instance` under `config`, which must pass
+    /// [`PreemptiveConfig::validate`].
+    pub fn new(
+        instance: &'a BatchInstance,
+        config: &'a PreemptiveConfig,
+    ) -> Result<Self, PreemptiveConfigError> {
+        config.validate()?;
+        Ok(Self {
+            instance,
+            config,
+            index: vec![Vec::new(); instance.jobs().len()],
+        })
+    }
+
+    /// Simulate one realisation of the Gittins-index preemptive policy on a
+    /// single machine.
+    ///
+    /// Processing times are sampled up front (the scheduler never sees
+    /// them); at each review epoch the job with the largest current index
+    /// receives the next quantum of service.
+    pub fn simulate(&mut self, rng: &mut dyn RngCore) -> PreemptiveOutcome {
+        let jobs = self.instance.jobs();
+        let review_period = self.config.review_period;
+        let n = jobs.len();
+        let true_sizes: Vec<f64> = jobs.iter().map(|j| j.dist.sample(rng)).collect();
+        let mut attained = vec![0.0f64; n];
+        let mut quanta = vec![0usize; n];
+        let mut done = vec![false; n];
+        let mut completion = vec![0.0f64; n];
+        let mut remaining = n;
+        let mut clock = 0.0;
+        let mut last_served: Option<usize> = None;
+        let mut preemptions = 0;
+
+        while remaining > 0 {
+            // Pick the job with the highest index.
+            let mut best_job = None;
+            let mut best_index = f64::NEG_INFINITY;
+            for i in 0..n {
+                if done[i] {
+                    continue;
+                }
+                // A job served k quanta was picked at k - 1, so its row
+                // already holds entries 0..k.
+                let row = &mut self.index[i];
+                if row.len() == quanta[i] {
+                    row.push(gittins_service_index(
+                        jobs[i].dist.as_ref(),
+                        jobs[i].weight,
+                        attained[i],
+                        self.config.min_quantum,
+                        self.config.index_horizon,
+                        self.config.grid_points,
+                    ));
+                }
+                let idx = row[quanta[i]];
+                if idx > best_index {
+                    best_index = idx;
+                    best_job = Some(i);
+                }
+            }
+            let i = best_job.expect("remaining > 0 implies an unfinished job exists");
+            if let Some(prev) = last_served {
+                if prev != i && !done[prev] {
+                    preemptions += 1;
+                }
+            }
+            last_served = Some(i);
+
+            let needed = true_sizes[i] - attained[i];
+            if needed <= review_period {
+                clock += needed.max(0.0);
+                attained[i] = true_sizes[i];
+                done[i] = true;
+                completion[i] = clock;
+                remaining -= 1;
+            } else {
+                clock += review_period;
+                attained[i] += review_period;
+                quanta[i] += 1;
+            }
+        }
+
+        let weighted_flowtime = (0..n).map(|i| jobs[i].weight * completion[i]).sum();
+        let makespan = completion.iter().cloned().fold(0.0, f64::max);
+        PreemptiveOutcome {
+            weighted_flowtime,
+            makespan,
+            preemptions,
+        }
+    }
+}
+
+/// Simulate one realisation of the Gittins-index preemptive policy on a
+/// single machine, through a fresh [`PreemptiveIndexTable`].
+///
+/// Callers that run many replications of one instance should hold one
+/// table instead, so every `(job, k)` index is computed once in total.
+///
+/// # Panics
+///
+/// If `config` fails [`PreemptiveConfig::validate`].
 pub fn simulate_gittins_preemptive(
     instance: &BatchInstance,
     config: &PreemptiveConfig,
     rng: &mut dyn RngCore,
 ) -> PreemptiveOutcome {
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let true_sizes: Vec<f64> = jobs.iter().map(|j| j.dist.sample(rng)).collect();
-    let mut attained = vec![0.0f64; n];
-    let mut done = vec![false; n];
-    let mut completion = vec![0.0f64; n];
-    let mut remaining = n;
-    let mut clock = 0.0;
-    let mut last_served: Option<usize> = None;
-    let mut preemptions = 0;
-
-    while remaining > 0 {
-        // Pick the job with the highest index.
-        let mut best_job = None;
-        let mut best_index = f64::NEG_INFINITY;
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            let idx = gittins_service_index(
-                jobs[i].dist.as_ref(),
-                jobs[i].weight,
-                attained[i],
-                config.min_quantum,
-                config.index_horizon,
-                config.grid_points,
-            );
-            if idx > best_index {
-                best_index = idx;
-                best_job = Some(i);
-            }
-        }
-        let i = best_job.expect("remaining > 0 implies an unfinished job exists");
-        if let Some(prev) = last_served {
-            if prev != i && !done[prev] {
-                preemptions += 1;
-            }
-        }
-        last_served = Some(i);
-
-        let needed = true_sizes[i] - attained[i];
-        if needed <= config.review_period {
-            clock += needed.max(0.0);
-            attained[i] = true_sizes[i];
-            done[i] = true;
-            completion[i] = clock;
-            remaining -= 1;
-        } else {
-            clock += config.review_period;
-            attained[i] += config.review_period;
-        }
-    }
-
-    let weighted_flowtime = (0..n).map(|i| jobs[i].weight * completion[i]).sum();
-    let makespan = completion.iter().cloned().fold(0.0, f64::max);
-    PreemptiveOutcome {
-        weighted_flowtime,
-        makespan,
-        preemptions,
-    }
+    PreemptiveIndexTable::new(instance, config)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .simulate(rng)
 }
 
 /// Simulate one realisation of the *nonpreemptive* WSEPT list on the same
@@ -261,11 +397,12 @@ mod tests {
             index_horizon: 20.0,
             grid_points: 8,
         };
+        let mut table = PreemptiveIndexTable::new(&inst, &config).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let mut pre = 0.0;
         let mut non = 0.0;
         for _ in 0..reps {
-            pre += simulate_gittins_preemptive(&inst, &config, &mut rng).weighted_flowtime;
+            pre += table.simulate(&mut rng).weighted_flowtime;
             non += simulate_wsept_nonpreemptive(&inst, &mut rng);
         }
         pre /= reps as f64;
@@ -294,12 +431,13 @@ mod tests {
             index_horizon: 30.0,
             grid_points: 8,
         };
+        let mut table = PreemptiveIndexTable::new(&inst, &config).unwrap();
         let mut rng_a = ChaCha8Rng::seed_from_u64(21);
         let mut rng_b = ChaCha8Rng::seed_from_u64(21);
         let mut pre = 0.0;
         let mut non = 0.0;
         for _ in 0..reps {
-            pre += simulate_gittins_preemptive(&inst, &config, &mut rng_a).weighted_flowtime;
+            pre += table.simulate(&mut rng_a).weighted_flowtime;
             non += simulate_wsept_nonpreemptive(&inst, &mut rng_b);
         }
         pre /= reps as f64;
@@ -307,6 +445,85 @@ mod tests {
         assert!(
             pre < non * 0.97,
             "expected a clear preemption gain: preemptive {pre} vs WSEPT {non}"
+        );
+    }
+
+    fn check(config: PreemptiveConfig, expected: PreemptiveConfigError) {
+        assert_eq!(config.validate(), Err(expected));
+        let inst = BatchInstance::builder()
+            .job(1.0, dyn_dist(Exponential::new(1.0)))
+            .build();
+        assert_eq!(
+            PreemptiveIndexTable::new(&inst, &config).err(),
+            Some(expected)
+        );
+    }
+
+    #[test]
+    fn review_period_must_be_finite_and_positive() {
+        for review_period in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            let config = PreemptiveConfig {
+                review_period,
+                ..PreemptiveConfig::default()
+            };
+            // NaN != NaN, so compare the variant through its bits.
+            match config.validate() {
+                Err(PreemptiveConfigError::ReviewPeriod(v)) => {
+                    assert_eq!(v.to_bits(), review_period.to_bits())
+                }
+                other => panic!("review_period {review_period}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "review_period must be finite and positive, got 0.0")]
+    fn zero_review_period_panics_instead_of_hanging() {
+        let inst = BatchInstance::builder()
+            .job(1.0, dyn_dist(Exponential::new(1.0)))
+            .build();
+        let config = PreemptiveConfig {
+            review_period: 0.0,
+            ..PreemptiveConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        simulate_gittins_preemptive(&inst, &config, &mut rng);
+    }
+
+    #[test]
+    fn min_quantum_must_be_positive() {
+        check(
+            PreemptiveConfig {
+                min_quantum: 0.0,
+                ..PreemptiveConfig::default()
+            },
+            PreemptiveConfigError::MinQuantum(0.0),
+        );
+    }
+
+    #[test]
+    fn index_horizon_must_exceed_min_quantum() {
+        check(
+            PreemptiveConfig {
+                min_quantum: 0.5,
+                index_horizon: 0.5,
+                ..PreemptiveConfig::default()
+            },
+            PreemptiveConfigError::IndexHorizon {
+                min_quantum: 0.5,
+                index_horizon: 0.5,
+            },
+        );
+    }
+
+    #[test]
+    fn grid_needs_two_points() {
+        check(
+            PreemptiveConfig {
+                grid_points: 1,
+                ..PreemptiveConfig::default()
+            },
+            PreemptiveConfigError::GridPoints(1),
         );
     }
 }

@@ -21,9 +21,7 @@ use ss_batch::exact_exp::{
     sept_order_exp, ExpParallelInstance,
 };
 use ss_batch::policies::{lept_order, random_order, sept_order, weight_only_order, wsept_order};
-use ss_batch::preemptive::{
-    simulate_gittins_preemptive, simulate_wsept_nonpreemptive, PreemptiveConfig,
-};
+use ss_batch::preemptive::{simulate_wsept_nonpreemptive, PreemptiveConfig, PreemptiveIndexTable};
 use ss_batch::single_machine::{exhaustive_optimal_order, expected_weighted_flowtime};
 use ss_batch::turnpike::turnpike_sweep;
 use ss_batch::two_point_exact::{
@@ -389,11 +387,12 @@ fn e2_preemptive_gittins() -> String {
             grid_points: 12,
         };
         let reps = 4000;
+        let mut table = PreemptiveIndexTable::new(&inst, &config).expect("E2's config is valid");
         let mut rng = workloads::rng_for(200);
         let mut pre = 0.0;
         let mut non = 0.0;
         for _ in 0..reps {
-            pre += simulate_gittins_preemptive(&inst, &config, &mut rng).weighted_flowtime;
+            pre += table.simulate(&mut rng).weighted_flowtime;
             non += simulate_wsept_nonpreemptive(&inst, &mut rng);
         }
         pre /= reps as f64;
@@ -1415,17 +1414,18 @@ mod tests {
     #[test]
     fn harness_reports_are_identical_across_jobs() {
         // The concurrent harness only changes scheduling, never content:
-        // a cheap subset (two exact experiments plus the E6 sweep) must
-        // produce byte-identical reports at --jobs 1 and --jobs 4.
+        // a cheap subset (exact experiments, the E6 sweep and the E2
+        // Monte-Carlo run) must produce byte-identical reports at --jobs 1
+        // and --jobs 4.
         let all = all_experiments();
         let subset: Vec<&Experiment> = all
             .iter()
-            .filter(|e| matches!(e.id, "E3" | "E5" | "E6" | "E9"))
+            .filter(|e| matches!(e.id, "E2" | "E3" | "E5" | "E6" | "E9"))
             .collect();
         let serial = run_experiments(&subset, 1);
         let parallel = run_experiments(&subset, 4);
-        assert_eq!(serial.len(), 4);
-        assert_eq!(parallel.len(), 4);
+        assert_eq!(serial.len(), 5);
+        assert_eq!(parallel.len(), 5);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.id, b.id, "report order must be the selection order");
             assert_eq!(a.report, b.report, "{} diverged across jobs", a.id);
