@@ -15,16 +15,22 @@
 //! report text is byte-for-byte identical for any `--jobs` value and
 //! `--jobs 1` reproduces the historical strictly sequential harness.  Two
 //! things vary run to run: the wall-clock lines (`[Ex finished in ...]`,
-//! and the `--json` timings), which CI's determinism diff filters out, and
+//! and the `--json` timings), which every byte comparison strips, and
 //! E21's report body, which embeds its own measured thread-sweep timings —
-//! byte-identity consumers must exclude E21 (CI's diff subset does).
+//! byte-identity consumers must exclude E21 (the conformance subset and the
+//! repository benchmark both do).
+//!
+//! An id that matches no experiment (ASCII case-insensitively) is an error:
+//! the binary names every unmatched id and exits 1 before running anything.
 //!
 //! A panicking experiment does not abort the harness: its report is
 //! replaced by a `PANICKED:` line, everything that finished still prints,
 //! and the binary exits nonzero at the end.
 
-use ss_bench::experiments::{all_experiments, markdown_document, run_experiments, Experiment};
-use ss_bench::json;
+use ss_bench::experiments::{
+    all_experiments, markdown_document, run_experiments, select_experiments,
+};
+use ss_sim::json;
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
@@ -76,18 +82,10 @@ fn main() {
         return;
     }
 
-    let selected: Vec<&Experiment> = if ids.is_empty() {
-        experiments.iter().collect()
-    } else {
-        experiments
-            .iter()
-            .filter(|e| ids.iter().any(|a| a.eq_ignore_ascii_case(e.id)))
-            .collect()
-    };
-    if selected.is_empty() {
-        eprintln!("no experiment matches {ids:?}; use --list to see the available ids");
+    let selected = select_experiments(&experiments, &ids).unwrap_or_else(|unknown| {
+        eprintln!("no experiment matches {unknown:?}; use --list to see the available ids");
         std::process::exit(1);
-    }
+    });
 
     let jobs = jobs.unwrap_or_else(ss_sim::pool::num_threads);
     let start = std::time::Instant::now();

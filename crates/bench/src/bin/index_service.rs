@@ -25,7 +25,7 @@
 use ss_bench::index_service::{
     lookup_batched, lookup_single, query_stream, recompute, shards, IndexShard, QUERY_SEED,
 };
-use ss_bench::json;
+use ss_sim::json;
 use std::time::Instant;
 
 /// The committed perf budget: batched serving must beat per-decision

@@ -100,7 +100,8 @@ pub struct ExperimentReport {
 /// experiments (E21) embed their own measured wall-clock tables in the
 /// report body, which vary run to run by construction.  They always run
 /// alone, after the concurrent batch, and byte-identity consumers (the
-/// `sweeps` gate, CI's harness diff) exclude them.
+/// conformance `experiments-subset` target, the repository benchmark's
+/// `paper-experiments` gate) exclude them.
 pub fn run_experiments(selected: &[&Experiment], jobs: usize) -> Vec<ExperimentReport> {
     assert!(jobs >= 1, "need at least one harness job");
     let timed = |e: &Experiment| {
@@ -169,8 +170,7 @@ pub fn markdown_document(reports: &[ExperimentReport]) -> String {
          index order, so these tables are bit-for-bit reproducible for any\n\
          `SS_THREADS` setting and any `--jobs` harness concurrency.  Wall-clock\n\
          lines are from the generating host ({host} logical CPU(s) for this\n\
-         revision — see E21, `BENCH_parallel_replications.json` and\n\
-         `BENCH_sweeps.json` for the serial-vs-parallel trajectories).\n\n\
+         revision — E21 measures the serial-vs-parallel thread sweep).\n\n\
          Per-experiment descriptions and the claims under test are catalogued in\n\
          `DESIGN.md`; `cargo run --release -p ss-bench --bin experiments -- --list`\n\
          prints the id/description index.\n\n",
@@ -302,6 +302,29 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: e22_metastable_retry_storm,
         },
     ]
+}
+
+/// The experiments a command line selects from `experiments`, in registry
+/// order: every experiment when `ids` is empty, otherwise those whose id
+/// matches one of `ids` ASCII case-insensitively.  An id that matches no
+/// experiment is an error, and the error lists every such id, so a typo
+/// cannot silently shrink the run.
+pub fn select_experiments<'a>(
+    experiments: &'a [Experiment],
+    ids: &[String],
+) -> Result<Vec<&'a Experiment>, Vec<String>> {
+    let unknown: Vec<String> = ids
+        .iter()
+        .filter(|id| !experiments.iter().any(|e| id.eq_ignore_ascii_case(e.id)))
+        .cloned()
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    Ok(experiments
+        .iter()
+        .filter(|e| ids.is_empty() || ids.iter().any(|id| id.eq_ignore_ascii_case(e.id)))
+        .collect())
 }
 
 // ---------------------------------------------------------------- E1 ----
@@ -611,7 +634,7 @@ fn e8_gittins_agreement() -> String {
             .fold(0.0, f64::max);
         out.push_str(&format!("| {k} | {d1:.2e} | {d2:.2e} |\n"));
     }
-    out.push_str("\nAll three computations coincide to solver tolerance; see `cargo bench -p ss-bench --bench gittins` for their running-time scaling.\n");
+    out.push_str("\nAll three computations coincide to solver tolerance.\n");
     out
 }
 
@@ -1281,8 +1304,8 @@ fn e21_parallel_replications() -> String {
     out.push_str(&format!(
         "\nDeterminism is the contract — the pool only changes the schedule, never the \
          values — so the summary (mean {:.4} ± {:.4}) is the same for every row.  Wall-clock \
-         speedup tracks the host's core count; see BENCH_parallel_replications.json for the \
-         recorded trajectory (`cargo run --release -p ss-bench --bin parallel_replications`).\n",
+         speedup tracks the host's core count; `conform --target replications-check` pins \
+         the values' bit-identity at 1, 2, 4 and 8 threads.\n",
         serial.mean, serial.ci95
     ));
     out
@@ -1372,6 +1395,18 @@ mod tests {
         assert_eq!(experiments.len(), 22);
         let ids: std::collections::HashSet<&str> = experiments.iter().map(|e| e.id).collect();
         assert_eq!(ids.len(), 22);
+    }
+
+    #[test]
+    fn selection_rejects_every_unknown_id() {
+        let all = all_experiments();
+        let ids = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let picked = select_experiments(&all, &ids(&["e8", "E1"])).unwrap();
+        let picked: Vec<&str> = picked.iter().map(|e| e.id).collect();
+        assert_eq!(picked, ["E1", "E8"], "registry order, case-insensitive");
+        assert_eq!(select_experiments(&all, &[]).unwrap().len(), all.len());
+        let unknown = select_experiments(&all, &ids(&["E1", "E99", "E2", "bogus"])).err();
+        assert_eq!(unknown, Some(ids(&["E99", "bogus"])));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Shared workloads of the `index_service` bench and binary: sharded
-//! Whittle-backed [`IndexTable`]s, deterministic query streams, and the
-//! three decision-serving paths under comparison —
+//! Workloads of the `index_service` binary: sharded Whittle-backed
+//! [`IndexTable`]s, deterministic query streams, and the three
+//! decision-serving paths under comparison —
 //!
 //! * **single**: one trait-object `class_index` call per decision (the
 //!   fabric's `select_class` scan);

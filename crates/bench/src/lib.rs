@@ -1,4 +1,4 @@
-//! # ss-bench — benchmarks and the experiment harness
+//! # ss-bench — the experiment harness and its conformance artifacts
 //!
 //! Three deliverables live here:
 //!
@@ -9,25 +9,20 @@
 //!   `--jobs` pool lanes, reports buffered and printed in E-id order), a
 //!   subset with `-- E7 E10`, a timing summary with `-- --json`, or the
 //!   whole `EXPERIMENTS.md` document with `-- --markdown`;
-//! * the **Criterion benchmarks** (`benches/`) — micro/meso benchmarks of
-//!   the computational kernels (Gittins/Whittle/Klimov index computation,
-//!   the simplex solver, MDP value iteration, the event calendar, the
-//!   M/G/1 simulator, batch index evaluation, the turnpike sweep, the
-//!   Monte-Carlo sweep kernels, and the parallel replication engine's
-//!   threads × replications throughput);
-//! * the **`parallel_replications` and `sweeps` binaries** — record the
-//!   serial-vs-parallel wall-clock trajectories to
-//!   `BENCH_parallel_replications.json` / `BENCH_sweeps.json` and gate the
-//!   pool's serial/parallel bit-identity (`--check`, used by CI; `sweeps`
-//!   covers the turnpike / heavy-traffic / asymptotic sweeps plus the full
-//!   concurrent E1–E22 harness).
+//! * the **conformance renderers** ([`conformance`], over the [`sweeps`]
+//!   workloads) — bit-exact text artifacts of the replication engine, the
+//!   Monte-Carlo sweeps and a harness subset, which `ss-conform` pins
+//!   across pool sizes and against golden fixtures;
+//! * the **`index_service` binary** ([`index_service`]) — records
+//!   `BENCH_index_service.json` and gates the serving layer's
+//!   batched-vs-recompute throughput ratio (`--budget`, run by CI).
 //!
 //! [`workloads`] holds the shared instance builders so that the harness and
-//! the benches exercise exactly the same configurations.
+//! the conformance sweeps exercise exactly the same configurations.  The
+//! repository benchmark lives in `perfbench/` at the repository root.
 
 pub mod conformance;
 pub mod experiments;
 pub mod index_service;
-pub mod json;
 pub mod sweeps;
 pub mod workloads;

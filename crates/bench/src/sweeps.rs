@@ -1,5 +1,4 @@
-//! Shared sweep workloads for the `sweeps` binary and the `sweeps`
-//! criterion bench.
+//! Sweep workloads for the `sweeps-check` conformance target.
 //!
 //! Each workload runs one of the pool-parallelised Monte-Carlo sweeps
 //! (turnpike / heavy-traffic / Weber–Weiss asymptotics) at a fixed,
@@ -7,7 +6,7 @@
 //! the sweep produced — the fingerprint the serial-vs-parallel bit-identity
 //! gate compares.  The configurations deliberately mirror the E6 / E13 /
 //! E10 experiment settings (same workload builders, same derived seeds) so
-//! the recorded timings transfer to the harness.
+//! the pinned bit patterns cover the harness's code paths.
 
 use crate::workloads;
 use ss_bandits::restless::asymptotic_sweep;
@@ -18,7 +17,7 @@ use ss_queueing::parallel_servers::heavy_traffic_sweep;
 /// One named sweep workload: `run()` executes the sweep on the current pool
 /// and returns its outputs flattened to `f64`s in point order.
 pub struct SweepWorkload {
-    /// Short name used in reports and `BENCH_sweeps.json`.
+    /// Short name used in the `sweeps-check` artifact.
     pub name: &'static str,
     /// Execute the sweep and flatten its outputs.
     pub run: fn() -> Vec<f64>,
@@ -43,7 +42,7 @@ pub fn sweep_workloads() -> Vec<SweepWorkload> {
 }
 
 /// The E6 turnpike sweep (one fewer point and doubled replications versus
-/// the experiment, so each point is chunky enough to time).
+/// the experiment; the committed fixture pins this configuration).
 fn turnpike_workload() -> Vec<f64> {
     let generator = InstanceGenerator::with_family(InstanceFamily::Exponential);
     let points = turnpike_sweep(

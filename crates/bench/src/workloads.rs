@@ -1,5 +1,5 @@
-//! Shared workload builders used by both the experiment harness and the
-//! Criterion benches.  Every builder is deterministic given its arguments
+//! Shared workload builders for the experiment harness and the conformance
+//! sweeps.  Every builder is deterministic given its arguments
 //! (seeds are fixed constants documented in EXPERIMENTS.md).
 
 use rand_chacha::rand_core::SeedableRng;
@@ -116,14 +116,6 @@ pub fn branching_three_class() -> BranchingBandit {
             OffspringDist::none(3),
         ],
     )
-}
-
-/// The two-class setup-time instance used by E16 (total load 0.73).
-pub fn setup_two_classes() -> Vec<JobClass> {
-    vec![
-        JobClass::new(0, 0.45, dyn_dist(Exponential::with_mean(1.0)), 1.0),
-        JobClass::new(1, 0.35, dyn_dist(Exponential::with_mean(0.8)), 2.0),
-    ]
 }
 
 /// The cost-asymmetric two-class setup-time instance used by E20 (total
