@@ -85,20 +85,6 @@ pub fn simulate_permutation(
     realised_permutation_schedule(&durations, order)
 }
 
-/// Monte-Carlo estimate of the expected makespan of a permutation schedule.
-pub fn expected_makespan(
-    instance: &FlowShopInstance,
-    order: &[usize],
-    replications: usize,
-    rng: &mut dyn RngCore,
-) -> f64 {
-    let mut acc = 0.0;
-    for _ in 0..replications {
-        acc += simulate_permutation(instance, order, rng).0;
-    }
-    acc / replications as f64
-}
-
 /// Talwar's rule for two-machine shops with exponential processing times:
 /// order jobs by nonincreasing `λ_{i,1} - λ_{i,2}` (rate on machine 1 minus
 /// rate on machine 2).  For exponential stages this minimises the expected

@@ -37,14 +37,16 @@ use ss_queueing::cmu::cmu_order;
 use ss_queueing::cobham::{best_nonpreemptive_order, mg1_nonpreemptive_priority};
 use ss_queueing::conservation::{conserved_work, weighted_wait_sum};
 use ss_queueing::fluid::{integrate_priority_fluid, FluidNetwork};
-use ss_queueing::klimov::{klimov_order, simulate_klimov};
-use ss_queueing::mg1::{simulate_mg1, Discipline, Mg1Config};
+use ss_queueing::klimov::klimov_order;
+use ss_queueing::klimov_sim::klimov_policy_replications;
+use ss_queueing::mg1::{simulate_mg1, Mg1Config, ServiceOrder};
 use ss_queueing::parallel_servers::heavy_traffic_sweep;
 use ss_queueing::polling::{simulate_polling, PollingDiscipline};
 use ss_queueing::setups::{
     simulate_setup_policy, sqrt_rule_thresholds, threshold_sweep, SetupPolicy,
 };
 use ss_queueing::stability::{run_lu_kumar, LuKumarParams};
+use ss_sim::stats::OnlineStats;
 
 /// Identifier + human description of one experiment.
 pub struct Experiment {
@@ -755,7 +757,7 @@ fn e11_cmu_mg1() -> String {
     let fifo = simulate_mg1(
         &Mg1Config {
             classes: classes.clone(),
-            discipline: Discipline::Fifo,
+            discipline: ServiceOrder::Fifo,
             horizon: 200_000.0,
             warmup: 5_000.0,
         },
@@ -767,7 +769,7 @@ fn e11_cmu_mg1() -> String {
     let sim_cmu = simulate_mg1(
         &Mg1Config {
             classes: classes.clone(),
-            discipline: Discipline::NonpreemptivePriority(cmu.clone()),
+            discipline: ServiceOrder::NonpreemptivePriority(cmu.clone()),
             horizon: 200_000.0,
             warmup: 5_000.0,
         },
@@ -814,6 +816,9 @@ fn e11_cmu_mg1() -> String {
 // ---------------------------------------------------------------- E12 ---
 
 fn e12_klimov() -> String {
+    const REPLICATIONS: usize = 4;
+    const HORIZON: f64 = 80_000.0;
+    const WARMUP: f64 = 2_000.0;
     let net = workloads::klimov_three_class();
     let orders: Vec<Vec<usize>> = vec![
         vec![0, 1, 2],
@@ -829,20 +834,52 @@ fn e12_klimov() -> String {
         "sum c_j E[L_j]",
     );
     for (i, order) in orders.iter().enumerate() {
-        let mut rng = workloads::rng_for(1200 + i as u64);
-        let res = simulate_klimov(&net, order, 300_000.0, 10_000.0, &mut rng);
+        let mut stats = OnlineStats::new();
+        let seed = workloads::seed_for(1200 + i as u64);
+        for r in klimov_policy_replications(&net, order, HORIZON, WARMUP, REPLICATIONS, seed) {
+            stats.push(r.holding_cost_rate);
+        }
         let label = if *order == klimov {
             format!("{order:?} (Klimov order)")
         } else {
             format!("{order:?}")
         };
-        table.add(label, res.holding_cost_rate, None, "");
+        table.add(label, stats.mean(), Some(stats.ci_half_width_t(0.95)), "");
     }
-    let mut out = table.to_markdown();
-    out.push_str(&format!(
-        "\nKlimov's algorithm selects {klimov:?}; it attains the minimum simulated cost (within CI) as predicted by Klimov (1974).\n"
-    ));
-    out
+    let chosen = orders
+        .iter()
+        .position(|o| *o == klimov)
+        .expect("the Klimov order is a permutation");
+    let row = &table.rows[chosen];
+    format!(
+        "{}\nEach order: {REPLICATIONS} replications of horizon {HORIZON:.0} (warm-up {WARMUP:.0}); the CI is a Student-t 95% half-width. Klimov's algorithm selects {klimov:?} at {:.4} ± {:.4}; {}.\n",
+        table.to_markdown(),
+        row.value,
+        row.ci95.expect("every row has a CI"),
+        klimov_verdict(&table, chosen)
+    )
+}
+
+/// E12's conclusion, computed from the table: whether row `chosen` (the
+/// Klimov order) attains the smallest cost, is within CI of it (the two
+/// 95% intervals overlap), or is not.
+fn klimov_verdict(table: &ComparisonTable, chosen: usize) -> String {
+    let best = table.best_row().expect("a non-empty table");
+    let row = &table.rows[chosen];
+    let slack = row.ci95.expect("a CI") + best.ci95.expect("a CI");
+    if row.name == best.name {
+        "it attains the minimum simulated cost, as predicted by Klimov (1974)".to_string()
+    } else if row.value - best.value <= slack {
+        format!(
+            "its cost is within CI of the minimum, {} at {:.4}, as predicted by Klimov (1974)",
+            best.name, best.value
+        )
+    } else {
+        format!(
+            "its cost is NOT within CI of the minimum, {} at {:.4}, contrary to Klimov (1974)",
+            best.name, best.value
+        )
+    }
 }
 
 // ---------------------------------------------------------------- E13 ---
@@ -1388,6 +1425,23 @@ fn e22_metastable_retry_storm() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn klimov_verdict_follows_the_table() {
+        let table = |klimov: f64, other: f64| {
+            let mut t = ComparisonTable::new("E12", "cost");
+            t.add("[1, 0] (Klimov order)", klimov, Some(0.05), "");
+            t.add("[0, 1]", other, Some(0.05), "");
+            t
+        };
+        assert!(klimov_verdict(&table(1.0, 1.2), 0).starts_with("it attains the minimum"));
+        assert!(klimov_verdict(&table(1.08, 1.0), 0).starts_with("its cost is within CI"));
+        let miss = klimov_verdict(&table(1.2, 1.0), 0);
+        assert!(
+            miss.contains("NOT within CI of the minimum, [0, 1] at 1.0000"),
+            "{miss}"
+        );
+    }
 
     #[test]
     fn experiment_registry_is_complete_and_unique() {

@@ -7,8 +7,8 @@
 //!   table/series of `EXPERIMENTS.md`.  Run all of them with
 //!   `cargo run --release -p ss-bench --bin experiments` (concurrently on
 //!   `--jobs` pool lanes, reports buffered and printed in E-id order), a
-//!   subset with `-- E7 E10`, a timing summary with `-- --json`, or the
-//!   whole `EXPERIMENTS.md` document with `-- --markdown`;
+//!   subset with `-- E7 E10`, or the whole `EXPERIMENTS.md` document with
+//!   `-- --markdown`;
 //! * the **conformance renderers** ([`conformance`], over the [`sweeps`]
 //!   workloads) — bit-exact text artifacts of the replication engine, the
 //!   Monte-Carlo sweeps and a harness subset, which `ss-conform` pins

@@ -7,37 +7,16 @@
 //! report, so corpus shrinkage fails as a manifest violation instead of
 //! relying on a hand-maintained grep loop).
 //!
-//! The workspace builds offline with no TOML crate (see `vendor/README.md`),
-//! so this module parses the small TOML subset the manifest needs: top-level
-//! `key = value` pairs, `[[target]]` array-of-tables headers, strings,
-//! integers, booleans and flat arrays, with `#` comments.  Unknown keys and
-//! kinds are hard errors — the manifest is self-describing and typos must
-//! not silently weaken the gate.
+//! The text is read by [`ss_lint::toml_subset`], the strict TOML-subset
+//! reader `lint.toml` uses too; this module only pulls the typed fields out
+//! of its `[[target]]` tables.  Unknown keys and kinds are hard errors — the
+//! manifest is self-describing and typos must not silently weaken the gate.
 
+use ss_lint::toml_subset::{self, Table, Value};
 use std::fmt;
 
 /// Supported manifest schema version (bump on incompatible changes).
 pub const SCHEMA_VERSION: i64 = 1;
-
-/// A parsed scalar-or-array TOML value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Int(i64),
-    Bool(bool),
-    List(Vec<Value>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::Int(_) => "integer",
-            Value::Bool(_) => "boolean",
-            Value::List(_) => "array",
-        }
-    }
-}
 
 /// The builtin artifact producers a target can reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,63 +105,11 @@ pub struct Manifest {
 impl Manifest {
     /// Parse and validate manifest text.
     pub fn parse(text: &str) -> Result<Manifest, String> {
-        let mut schema: Option<i64> = None;
-        // (key, value, line number) per table; table 0 is the top level.
-        let mut tables: Vec<Vec<(String, Value, usize)>> = vec![Vec::new()];
-        let mut in_target = false;
-        for (lineno, line) in logical_lines(text)? {
-            let line = line.as_str();
-            if line == "[[target]]" {
-                tables.push(Vec::new());
-                in_target = true;
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(format!(
-                    "line {lineno}: unsupported table header {line:?} (only [[target]])"
-                ));
-            }
-            let (key, value) =
-                parse_assignment(line).map_err(|e| format!("line {lineno}: {e} in {line:?}"))?;
-            let table = if in_target {
-                tables.last_mut().expect("a [[target]] table is open")
-            } else {
-                &mut tables[0]
-            };
-            if table.iter().any(|(k, _, _)| *k == key) {
-                return Err(format!("line {lineno}: duplicate key {key:?}"));
-            }
-            if !in_target && key == "schema" {
-                match value {
-                    Value::Int(v) => schema = Some(v),
-                    other => {
-                        return Err(format!(
-                            "line {lineno}: schema must be an integer, got {}",
-                            other.type_name()
-                        ))
-                    }
-                }
-                continue;
-            }
-            table.push((key, value, lineno));
-        }
-        match schema {
-            Some(SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "unsupported manifest schema {v} (this build understands {SCHEMA_VERSION})"
-                ))
-            }
-            None => return Err("manifest is missing the top-level `schema` key".to_string()),
-        }
-        if let Some((key, _, lineno)) = tables[0].first() {
-            return Err(format!(
-                "line {lineno}: unknown top-level key {key:?} (only `schema` and [[target]] tables)"
-            ));
-        }
-        let targets: Vec<TargetSpec> = tables[1..]
+        let tables =
+            toml_subset::read_tables(text, "target", SCHEMA_VERSION).map_err(|e| e.to_string())?;
+        let targets: Vec<TargetSpec> = tables
             .iter()
-            .map(|t| TargetSpec::from_table(t))
+            .map(TargetSpec::from_table)
             .collect::<Result<_, _>>()?;
         if targets.is_empty() {
             return Err("manifest declares no [[target]] tables".to_string());
@@ -198,7 +125,7 @@ impl Manifest {
 }
 
 impl TargetSpec {
-    fn from_table(table: &[(String, Value, usize)]) -> Result<TargetSpec, String> {
+    fn from_table(table: &Table) -> Result<TargetSpec, String> {
         let mut key = None;
         let mut kind = None;
         let mut description = None;
@@ -211,7 +138,8 @@ impl TargetSpec {
         let mut expect_scenarios = None;
         let mut expect_seed = None;
         let mut expect_contains = Vec::new();
-        for (k, v, lineno) in table {
+        for entry in &table.entries {
+            let (k, v, lineno) = (&entry.key, &entry.value, entry.line);
             let fail = |what: &str| format!("line {lineno}: {k} must be {what}");
             match k.as_str() {
                 "key" => key = Some(as_string(v).ok_or_else(|| fail("a string"))?),
@@ -273,8 +201,7 @@ impl TargetSpec {
                 }
             }
         }
-        let first_line = table.first().map(|(_, _, l)| *l).unwrap_or(0);
-        let key = key.ok_or(format!("target at line {first_line}: missing `key`"))?;
+        let key = key.ok_or(format!("target at line {}: missing `key`", table.line))?;
         let require = |name: &str, ok: bool| {
             if ok {
                 Ok(())
@@ -335,157 +262,8 @@ impl TargetSpec {
     }
 }
 
-/// Net `[`/`]` nesting change of a line, ignoring brackets inside strings.
-fn bracket_delta(line: &str) -> i64 {
-    let mut delta = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in line.chars() {
-        match c {
-            '\\' if in_string => escaped = !escaped,
-            '"' if !escaped => in_string = !in_string,
-            '[' if !in_string => delta += 1,
-            ']' if !in_string => delta -= 1,
-            _ => escaped = false,
-        }
-    }
-    delta
-}
-
-/// Comment-stripped, trimmed logical lines with their starting line number.
-/// Physical lines are joined while an array `[` remains open, so manifests
-/// can format long arrays one element per line.
-fn logical_lines(text: &str) -> Result<Vec<(usize, String)>, String> {
-    let mut out = Vec::new();
-    let mut pending: Option<(usize, String, i64)> = None;
-    for (lineno, raw) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        let delta = bracket_delta(line);
-        match pending.take() {
-            None if delta > 0 => pending = Some((lineno, line.to_string(), delta)),
-            None => out.push((lineno, line.to_string())),
-            Some((start, mut acc, depth)) => {
-                acc.push(' ');
-                acc.push_str(line);
-                let depth = depth + delta;
-                if depth > 0 {
-                    pending = Some((start, acc, depth));
-                } else {
-                    out.push((start, acc));
-                }
-            }
-        }
-    }
-    if let Some((start, _, _)) = pending {
-        return Err(format!("line {start}: unclosed `[` in array value"));
-    }
-    Ok(out)
-}
-
-/// Strip a `#` comment not inside a quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\\' if in_string => escaped = !escaped,
-            '"' if !escaped => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => escaped = false,
-        }
-    }
-    line
-}
-
-/// Parse `key = value`.
-fn parse_assignment(line: &str) -> Result<(String, Value), String> {
-    let (key, rest) = line
-        .split_once('=')
-        .ok_or("expected `key = value`".to_string())?;
-    let key = key.trim();
-    if key.is_empty()
-        || !key
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
-        return Err(format!("invalid key {key:?}"));
-    }
-    let (value, rest) = parse_value(rest.trim())?;
-    if !rest.trim().is_empty() {
-        return Err(format!("trailing content {:?} after value", rest.trim()));
-    }
-    Ok((key.to_string(), value))
-}
-
-/// Parse one value; returns it and the unconsumed remainder.
-fn parse_value(text: &str) -> Result<(Value, &str), String> {
-    let text = text.trim_start();
-    if let Some(rest) = text.strip_prefix('"') {
-        let mut out = String::new();
-        let mut chars = rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Ok((Value::Str(out), &rest[i + 1..])),
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    other => {
-                        return Err(format!(
-                            "unsupported string escape {:?}",
-                            other.map(|o| o.1)
-                        ))
-                    }
-                },
-                c => out.push(c),
-            }
-        }
-        return Err("unterminated string".to_string());
-    }
-    if let Some(mut rest) = text.strip_prefix('[') {
-        let mut items = Vec::new();
-        loop {
-            rest = rest.trim_start();
-            if let Some(after) = rest.strip_prefix(']') {
-                return Ok((Value::List(items), after));
-            }
-            let (item, after) = parse_value(rest)?;
-            items.push(item);
-            rest = after.trim_start();
-            if let Some(after) = rest.strip_prefix(',') {
-                rest = after;
-            } else if !rest.starts_with(']') {
-                return Err("expected `,` or `]` in array".to_string());
-            }
-        }
-    }
-    if let Some(rest) = text.strip_prefix("true") {
-        return Ok((Value::Bool(true), rest));
-    }
-    if let Some(rest) = text.strip_prefix("false") {
-        return Ok((Value::Bool(false), rest));
-    }
-    let end = text
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '_'))
-        .unwrap_or(text.len());
-    let token = &text[..end];
-    let cleaned: String = token.chars().filter(|&c| c != '_').collect();
-    match cleaned.parse::<i64>() {
-        Ok(i) => Ok((Value::Int(i), &text[end..])),
-        Err(_) => Err(format!("cannot parse value starting at {text:?}")),
-    }
-}
-
 fn as_string(v: &Value) -> Option<String> {
-    match v {
-        Value::Str(s) => Some(s.clone()),
-        _ => None,
-    }
+    v.as_str().map(str::to_string)
 }
 
 fn as_usize(v: &Value) -> Option<usize> {

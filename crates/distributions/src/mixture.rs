@@ -39,11 +39,6 @@ impl Mixture {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-
-    /// Number of components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
 }
 
 impl ServiceDistribution for Mixture {

@@ -1,15 +1,16 @@
 //! `lint.toml` — the audited suppression list.
 //!
 //! Mirrors `conform.toml` conventions: a schema-versioned TOML subset,
-//! parsed strictly (unknown keys, unknown rule IDs, duplicate entries and
-//! missing fields are hard errors, not warnings).  Each `[[allow]]` names
+//! read strictly by [`crate::toml_subset`] (the reader `conform.toml` uses
+//! too), so unknown keys, unknown rule IDs, duplicate keys or entries and
+//! missing fields are hard errors, not warnings.  Each `[[allow]]` names
 //! one rule at one file with a **mandatory reason** — an allow is a
 //! reviewed claim that the flagged pattern cannot reach an artifact byte,
 //! and the reason is where that claim lives.  Allows that suppress nothing
 //! are *stale* and fail the run: a fixed site must shrink the list, so the
 //! list can only describe the present tree.
 
-use crate::rules;
+use crate::{rules, toml_subset};
 use std::collections::BTreeSet;
 
 /// The schema this parser understands.
@@ -30,60 +31,34 @@ pub struct Allow {
 
 /// Parse `lint.toml` content.
 pub fn parse(content: &str) -> Result<Vec<Allow>, String> {
-    let mut schema_seen = false;
+    let tables = toml_subset::read_tables(content, "allow", i64::from(SCHEMA))
+        .map_err(|e| e.in_file("lint.toml"))?;
     let mut allows: Vec<Allow> = Vec::new();
-    let mut current: Option<Allow> = None;
-    for (idx, raw) in content.lines().enumerate() {
-        let lineno = (idx + 1) as u32;
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "[[allow]]" {
-            finish(&mut current, &mut allows)?;
-            current = Some(Allow {
-                rule: String::new(),
-                path: String::new(),
-                reason: String::new(),
-                line: lineno,
-            });
-            continue;
-        }
-        if line.starts_with('[') {
-            return Err(format!("lint.toml:{lineno}: unknown section {line:?}"));
-        }
-        let (key, value) = split_kv(&line)
-            .ok_or_else(|| format!("lint.toml:{lineno}: expected `key = value`, got {line:?}"))?;
-        match (&mut current, key) {
-            (None, "schema") => {
-                let v: u32 = value
-                    .parse()
-                    .map_err(|_| format!("lint.toml:{lineno}: schema must be an integer"))?;
-                if v != SCHEMA {
+    for table in tables {
+        let mut a = Allow {
+            rule: String::new(),
+            path: String::new(),
+            reason: String::new(),
+            line: table.line as u32,
+        };
+        for entry in table.entries {
+            let field = match entry.key.as_str() {
+                "rule" => &mut a.rule,
+                "path" => &mut a.path,
+                "reason" => &mut a.reason,
+                other => {
                     return Err(format!(
-                        "lint.toml:{lineno}: schema {v} unsupported (this binary understands {SCHEMA})"
-                    ));
+                        "lint.toml:{}: unknown [[allow]] key {other:?}",
+                        entry.line
+                    ))
                 }
-                schema_seen = true;
-            }
-            (None, other) => {
-                return Err(format!(
-                    "lint.toml:{lineno}: unknown top-level key {other:?}"
-                ));
-            }
-            (Some(a), "rule") => a.rule = parse_string(value, lineno)?,
-            (Some(a), "path") => a.path = parse_string(value, lineno)?,
-            (Some(a), "reason") => a.reason = parse_string(value, lineno)?,
-            (Some(_), other) => {
-                return Err(format!(
-                    "lint.toml:{lineno}: unknown [[allow]] key {other:?}"
-                ));
-            }
+            };
+            *field = entry.value.as_str().map(str::to_string).ok_or_else(|| {
+                format!("lint.toml:{}: {} must be a string", entry.line, entry.key)
+            })?;
         }
-    }
-    finish(&mut current, &mut allows)?;
-    if !schema_seen {
-        return Err("lint.toml: missing `schema = 1` line".to_string());
+        validate(&a)?;
+        allows.push(a);
     }
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
     for a in &allows {
@@ -97,76 +72,26 @@ pub fn parse(content: &str) -> Result<Vec<Allow>, String> {
     Ok(allows)
 }
 
-/// Validate and push a completed `[[allow]]` block.
-fn finish(current: &mut Option<Allow>, allows: &mut Vec<Allow>) -> Result<(), String> {
-    if let Some(a) = current.take() {
-        if a.rule.is_empty() {
-            return Err(format!("lint.toml:{}: [[allow]] missing `rule`", a.line));
-        }
-        if rules::meta(&a.rule).is_none() {
-            return Err(format!(
-                "lint.toml:{}: unknown rule {:?} (see `lint --list`)",
-                a.line, a.rule
-            ));
-        }
-        if a.path.is_empty() {
-            return Err(format!("lint.toml:{}: [[allow]] missing `path`", a.line));
-        }
-        if a.reason.trim().is_empty() {
-            return Err(format!(
-                "lint.toml:{}: [[allow]] missing `reason` — every suppression must say why \
-                 the pattern cannot reach an artifact byte",
-                a.line
-            ));
-        }
-        allows.push(a);
+/// Check that a complete `[[allow]]` names a known rule, a path and a reason.
+fn validate(a: &Allow) -> Result<(), String> {
+    if a.rule.is_empty() {
+        return Err(format!("lint.toml:{}: [[allow]] missing `rule`", a.line));
+    }
+    if rules::meta(&a.rule).is_none() {
+        return Err(format!(
+            "lint.toml:{}: unknown rule {:?} (see `lint --list`)",
+            a.line, a.rule
+        ));
+    }
+    if a.path.is_empty() {
+        return Err(format!("lint.toml:{}: [[allow]] missing `path`", a.line));
+    }
+    if a.reason.trim().is_empty() {
+        return Err(format!(
+            "lint.toml:{}: [[allow]] missing `reason` — every suppression must say why \
+             the pattern cannot reach an artifact byte",
+            a.line
+        ));
     }
     Ok(())
-}
-
-/// Strip a `#` comment, respecting `"…"` quoting.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut prev_backslash = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' if !prev_backslash => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-        prev_backslash = c == '\\' && !prev_backslash;
-    }
-    line
-}
-
-fn split_kv(line: &str) -> Option<(&str, &str)> {
-    let eq = line.find('=')?;
-    Some((line[..eq].trim(), line[eq + 1..].trim()))
-}
-
-/// Parse a double-quoted TOML string value (basic escapes only).
-fn parse_string(value: &str, lineno: u32) -> Result<String, String> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| format!("lint.toml:{lineno}: expected a double-quoted string"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some(other) => {
-                    return Err(format!("lint.toml:{lineno}: unsupported escape \\{other}"));
-                }
-                None => return Err(format!("lint.toml:{lineno}: dangling backslash")),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Ok(out)
 }

@@ -21,7 +21,9 @@
 //! * [`rules`] — the six token-level rules L001–L006, each anchored on a
 //!   historical bug class (see the table in [`rules`]);
 //! * [`config`] — `lint.toml`, the schema-versioned suppression list with
-//!   mandatory reasons and a hard error on stale allows.
+//!   mandatory reasons and a hard error on stale allows;
+//! * [`toml_subset`] — the strict TOML-subset reader behind both
+//!   `lint.toml` and ss-conform's `conform.toml`.
 //!
 //! The `lint` binary (`--list`, `--rule KEY`, `--allows`) prints findings
 //! as deterministic sorted `file:line rule message` lines and is a
@@ -31,6 +33,7 @@ pub mod config;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
+pub mod toml_subset;
 
 use config::Allow;
 use rules::Finding;

@@ -91,6 +91,18 @@ fn unknown_keys_are_hard_errors() {
     assert!(err.contains("unknown top-level key"), "{err}");
 }
 
+#[test]
+fn repeated_key_within_an_allow_is_a_hard_error() {
+    let err = parse(
+        "schema = 1\n[[allow]]\nrule = \"L001\"\npath = \"a.rs\"\nreason = \"x\"\nreason = \"y\"\n",
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("lint.toml:6: duplicate key \"reason\""),
+        "{err}"
+    );
+}
+
 // ------------------------------------------------------- applying allows
 
 #[test]

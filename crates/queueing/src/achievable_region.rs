@@ -27,7 +27,7 @@
 //! adaptive-greedy indices and the exhaustive search over priority orders
 //! all agree.
 
-use crate::cobham::{mg1_nonpreemptive_priority, total_load};
+use crate::cobham::total_load;
 use crate::conservation::{conserved_work, subset_lower_bound};
 use crate::klimov::KlimovNetwork;
 use ss_core::adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, IsolatedJobs, WorkMeasure};
@@ -208,17 +208,11 @@ pub fn klimov_via_adaptive_greedy(network: &KlimovNetwork) -> AdaptiveGreedyResu
     adaptive_greedy(&network.holding_costs, &oracle)
 }
 
-/// Convenience: the exact holding-cost rate of the priority order induced
-/// by an adaptive-greedy run on a plain (no-feedback) multiclass M/G/1.
-pub fn holding_cost_of_order(classes: &[JobClass], order: &[usize]) -> f64 {
-    mg1_nonpreemptive_priority(classes, order).holding_cost_rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cmu::cmu_order;
-    use crate::cobham::best_nonpreemptive_order;
+    use crate::cobham::{best_nonpreemptive_order, mg1_nonpreemptive_priority};
     use crate::klimov::{klimov_indices, klimov_order};
     use ss_distributions::{dyn_dist, Erlang, Exponential, HyperExponential};
 

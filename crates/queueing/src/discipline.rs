@@ -1,10 +1,5 @@
 //! Adapters from this crate's index policies onto the common
 //! [`ss_core::discipline::Discipline`] trait used by the service fabric.
-//!
-//! Not to be confused with [`crate::mg1::Discipline`], the closed
-//! three-variant enum of the single-station M/G/1 simulator: the trait here
-//! is the open, pluggable contract a multi-server fabric tier ranks its
-//! queues with.
 
 use ss_core::discipline::StaticIndex;
 use ss_core::job::JobClass;

@@ -17,17 +17,11 @@
 //!   assigned next, exactly as in the Varaiya–Walrand–Buyukkoc scheme for
 //!   Gittins indices.  With no feedback this reduces to the cµ-rule.
 //!
-//! The module also contains an event-driven simulator of the feedback
-//! queue, used by experiment E12 to verify that the Klimov order attains
-//! the smallest simulated holding-cost rate among all static priority
-//! orders.
+//! The network is simulated under a static priority order by
+//! [`crate::klimov_sim`].
 
-use crate::sampling::sample_exp;
-use rand::RngCore;
 use ss_core::linalg::solve_dense;
 use ss_distributions::DynDist;
-use ss_sim::stats::TimeWeighted;
-use std::collections::VecDeque;
 
 /// A Klimov network: one server, `N` classes, Poisson external arrivals,
 /// general service times, Bernoulli feedback routing.
@@ -173,139 +167,10 @@ pub fn klimov_order(network: &KlimovNetwork) -> Vec<usize> {
     ss_core::index::argsort_decreasing(&idx)
 }
 
-/// Result of one simulation run of the feedback queue.
-#[derive(Debug, Clone)]
-pub struct KlimovSimResult {
-    /// Time-average number in system per class.
-    pub mean_number: Vec<f64>,
-    /// `Σ_j c_j * mean_number[j]`.
-    pub holding_cost_rate: f64,
-    /// Completed services per class (after warm-up).
-    pub services_completed: Vec<u64>,
-}
-
-/// Simulate the Klimov network under a static nonpreemptive priority order
-/// (`priority_order[0]` served first).
-pub fn simulate_klimov(
-    network: &KlimovNetwork,
-    priority_order: &[usize],
-    horizon: f64,
-    warmup: f64,
-    rng: &mut dyn RngCore,
-) -> KlimovSimResult {
-    use rand::Rng;
-    let n = network.num_classes();
-    assert_eq!(priority_order.len(), n);
-    assert!(horizon > warmup);
-    let mut rank = vec![0usize; n];
-    for (pos, &c) in priority_order.iter().enumerate() {
-        rank[c] = pos;
-    }
-
-    let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n]; // arrival times
-    let mut next_arrival: Vec<f64> = network
-        .arrival_rates
-        .iter()
-        .map(|&a| {
-            if a > 0.0 {
-                sample_exp(rng, a)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
-    let mut counts = vec![0usize; n];
-    let mut trackers: Vec<TimeWeighted> = (0..n).map(|_| TimeWeighted::new(0.0, 0.0)).collect();
-    let mut in_service: Option<usize> = None; // class being served
-    let mut completion = f64::INFINITY;
-    let mut clock;
-    let mut warmup_done = false;
-    let mut services_completed = vec![0u64; n];
-
-    loop {
-        let (arr_class, arr_time) = next_arrival
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
-        let t = arr_time.min(completion);
-        if t > horizon {
-            break;
-        }
-        clock = t;
-        if !warmup_done && clock >= warmup {
-            for tr in &mut trackers {
-                tr.update(clock, tr.current());
-                tr.reset(clock);
-            }
-            warmup_done = true;
-        }
-
-        if arr_time <= completion {
-            // External arrival.
-            counts[arr_class] += 1;
-            trackers[arr_class].update(clock, counts[arr_class] as f64);
-            queues[arr_class].push_back(clock);
-            next_arrival[arr_class] = clock + sample_exp(rng, network.arrival_rates[arr_class]);
-        } else {
-            // Service completion; route the customer.
-            let class = in_service.take().expect("completion without service");
-            counts[class] -= 1;
-            trackers[class].update(clock, counts[class] as f64);
-            if clock >= warmup {
-                services_completed[class] += 1;
-            }
-            let u: f64 = rng.gen::<f64>();
-            let mut acc = 0.0;
-            let mut routed = None;
-            for j in 0..n {
-                acc += network.routing[class][j];
-                if u <= acc {
-                    routed = Some(j);
-                    break;
-                }
-            }
-            if let Some(j) = routed {
-                counts[j] += 1;
-                trackers[j].update(clock, counts[j] as f64);
-                queues[j].push_back(clock);
-            }
-            completion = f64::INFINITY;
-        }
-
-        // Start a new service if the server is idle.
-        if in_service.is_none() {
-            let next_class = (0..n)
-                .filter(|&c| !queues[c].is_empty())
-                .min_by_key(|&c| rank[c]);
-            if let Some(c) = next_class {
-                queues[c].pop_front();
-                let service = network.services[c].sample(rng);
-                completion = clock + service;
-                in_service = Some(c);
-            }
-        }
-    }
-
-    let mean_number: Vec<f64> = trackers.iter().map(|tr| tr.time_average(horizon)).collect();
-    let holding_cost_rate = mean_number
-        .iter()
-        .zip(&network.holding_costs)
-        .map(|(l, c)| l * c)
-        .sum();
-    KlimovSimResult {
-        mean_number,
-        holding_cost_rate,
-        services_completed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use crate::klimov_sim::klimov_policy_replications;
     use ss_distributions::{dyn_dist, Erlang, Exponential};
 
     fn no_feedback_network() -> KlimovNetwork {
@@ -386,12 +251,15 @@ mod tests {
             vec![2, 0, 1],
             vec![2, 1, 0],
         ];
-        let mut costs = Vec::new();
-        for (i, order) in orders.iter().enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(100 + i as u64);
-            let res = simulate_klimov(&net, order, 150_000.0, 5_000.0, &mut rng);
-            costs.push(res.holding_cost_rate);
-        }
+        let costs: Vec<f64> = orders
+            .iter()
+            .enumerate()
+            .map(|(i, order)| {
+                let rs =
+                    klimov_policy_replications(&net, order, 40_000.0, 1_000.0, 4, 100 + i as u64);
+                rs.iter().map(|r| r.holding_cost_rate).sum::<f64>() / rs.len() as f64
+            })
+            .collect();
         let best = costs.iter().cloned().fold(f64::INFINITY, f64::min);
         let klimov = klimov_order(&net);
         let pos = orders
@@ -409,6 +277,7 @@ mod tests {
     fn simulation_mean_numbers_match_mg1_for_no_feedback() {
         // With no feedback the Klimov simulator is an ordinary multiclass
         // M/G/1; check against Cobham.
+        use rand::SeedableRng;
         let net = no_feedback_network();
         let order = vec![1usize, 2, 0];
         let classes: Vec<ss_core::job::JobClass> = (0..3)
@@ -422,8 +291,9 @@ mod tests {
             })
             .collect();
         let exact = crate::cobham::mg1_nonpreemptive_priority(&classes, &order);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let sim = simulate_klimov(&net, &order, 120_000.0, 4_000.0, &mut rng);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let sim =
+            crate::klimov_sim::simulate_klimov_policy(&net, &order, 120_000.0, 4_000.0, &mut rng);
         for i in 0..3 {
             assert!(
                 (sim.mean_number[i] - exact.number_in_system[i]).abs() / exact.number_in_system[i]

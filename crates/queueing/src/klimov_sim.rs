@@ -1,12 +1,11 @@
-//! Klimov-network policy simulator with exact workload accounting.
+//! Simulator of a [`KlimovNetwork`] under a static nonpreemptive priority
+//! order, with exact workload accounting.
 //!
-//! [`crate::klimov`] carries the index algorithm and a queue-length
-//! simulator; this module is the *oracle-grade* simulation path used by
-//! `ss-verify`'s `klimov-vs-exact` pair.  The key difference from
-//! [`crate::klimov::simulate_klimov`] is that every external arrival
-//! pre-samples its whole **itinerary** — the sequence of (class, service
-//! time) visits its Bernoulli feedback chain will traverse — which makes
-//! the *full-chain workload* process exactly observable:
+//! It serves experiment E12, the examples and `ss-verify`'s
+//! `klimov-vs-exact` pair.  Every external arrival pre-samples its whole
+//! **itinerary** — the sequence of (class, service time) visits its
+//! Bernoulli feedback chain will traverse — which makes the *full-chain
+//! workload* process exactly observable:
 //!
 //! * with full-chain accounting, the workload `V(t)` (total remaining
 //!   service of everything in system, all future feedback visits included)
@@ -21,9 +20,8 @@
 //!   arrival generation, service sampling, feedback routing and the event
 //!   loop all at once;
 //! * per-class queue lengths and the weighted holding-cost rate are tracked
-//!   exactly as in the classic simulator, so feedback-free networks can
-//!   additionally be checked against Cobham's formulas under the Klimov
-//!   (= cµ) priority order.
+//!   too, so feedback-free networks can additionally be checked against
+//!   Cobham's formulas under the Klimov (= cµ) priority order.
 //!
 //! Pre-sampling the itinerary does not change the law of anything observed:
 //! services are i.i.d. given the class and routing draws are independent,

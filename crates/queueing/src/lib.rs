@@ -8,7 +8,7 @@
 //! | The cµ-rule minimises the steady-state holding-cost rate of a multiclass M/G/1 queue (Cox–Smith 1961) | [`mg1`] (simulator), [`cobham`] (exact formulas), [`cmu`] |
 //! | Work conservation / the achievable-region (polymatroid) view of M/G/1 performance | [`conservation`] |
 //! | The achievable-region LP, polymatroid vertices and the adaptive-greedy account of the cµ/Klimov indices (Bertsimas–Niño-Mora 1996) | [`achievable_region`] |
-//! | Klimov's algorithm gives the optimal priority indices for the M/G/1 with Bernoulli feedback (Klimov 1974, Tcha–Pliska 1977) | [`klimov`], [`klimov_sim`] (oracle-grade simulator + exact workload) |
+//! | Klimov's algorithm gives the optimal priority indices for the M/G/1 with Bernoulli feedback (Klimov 1974, Tcha–Pliska 1977) | [`klimov`], [`klimov_sim`] (the simulator + exact workload) |
 //! | The Klimov/cµ index used as a heuristic for multiclass M/M/m parallel servers: relaxation bounds and heavy-traffic optimality (Glazebrook–Niño-Mora 2001) | [`parallel_servers`] |
 //! | Multi-station multiclass networks: the stability problem — work-conserving priority rules can be unstable below nominal capacity | [`network`], [`stability`] |
 //! | Fluid approximations and fluid-guided scheduling (Chen–Yao 1993, Atkins–Chen 1995) | [`fluid`] |
@@ -41,4 +41,4 @@ pub use cobham::{mg1_nonpreemptive_priority, mg1_preemptive_priority, pollaczek_
 pub use discipline::cmu_discipline;
 pub use klimov::{klimov_indices, KlimovNetwork};
 pub use klimov_sim::{exact_mean_workload, simulate_klimov_policy, KlimovPolicyResult};
-pub use mg1::{Discipline, Mg1Config, Mg1Result};
+pub use mg1::{Mg1Config, Mg1Result, ServiceOrder};

@@ -14,9 +14,9 @@ use ss_core::job::JobClass;
 use ss_sim::stats::TimeWeighted;
 use std::collections::VecDeque;
 
-/// Service discipline of the single server.
+/// Service order of the single server: which waiting job it serves next.
 #[derive(Debug, Clone)]
-pub enum Discipline {
+pub enum ServiceOrder {
     /// First-in-first-out across all classes.
     Fifo,
     /// Nonpreemptive static priority; the vector lists class indices from
@@ -32,7 +32,7 @@ pub struct Mg1Config {
     /// The job classes (arrival rates, service distributions, holding costs).
     pub classes: Vec<JobClass>,
     /// Service discipline.
-    pub discipline: Discipline,
+    pub discipline: ServiceOrder,
     /// Simulated time horizon.
     pub horizon: f64,
     /// Warm-up period excluded from the time averages.
@@ -68,8 +68,8 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
 
     // Priority rank per class (lower = served first); FIFO ignores it.
     let rank: Vec<usize> = match &config.discipline {
-        Discipline::Fifo => vec![0; n_classes],
-        Discipline::NonpreemptivePriority(order) | Discipline::PreemptivePriority(order) => {
+        ServiceOrder::Fifo => vec![0; n_classes],
+        ServiceOrder::NonpreemptivePriority(order) | ServiceOrder::PreemptivePriority(order) => {
             assert_eq!(order.len(), n_classes);
             let mut r = vec![0usize; n_classes];
             for (pos, &c) in order.iter().enumerate() {
@@ -78,8 +78,8 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
             r
         }
     };
-    let preemptive = matches!(config.discipline, Discipline::PreemptivePriority(_));
-    let fifo = matches!(config.discipline, Discipline::Fifo);
+    let preemptive = matches!(config.discipline, ServiceOrder::PreemptivePriority(_));
+    let fifo = matches!(config.discipline, ServiceOrder::Fifo);
 
     // Per-class waiting queues (FIFO uses a single global queue keyed by arrival order).
     let mut queues: Vec<VecDeque<Customer>> = vec![VecDeque::new(); n_classes];
@@ -263,7 +263,7 @@ mod tests {
         ]
     }
 
-    fn run(classes: Vec<JobClass>, discipline: Discipline, seed: u64) -> Mg1Result {
+    fn run(classes: Vec<JobClass>, discipline: ServiceOrder, seed: u64) -> Mg1Result {
         let config = Mg1Config {
             classes,
             discipline,
@@ -278,7 +278,7 @@ mod tests {
     fn fifo_matches_pollaczek_khinchine() {
         let classes = classes_2();
         let expected_wait = pollaczek_khinchine_wait(&classes);
-        let res = run(classes, Discipline::Fifo, 1);
+        let res = run(classes, ServiceOrder::Fifo, 1);
         for (c, w) in res.mean_wait.iter().enumerate() {
             assert!(
                 (w - expected_wait).abs() / expected_wait < 0.08,
@@ -292,7 +292,7 @@ mod tests {
         let classes = classes_2();
         let order = vec![1usize, 0];
         let exact = mg1_nonpreemptive_priority(&classes, &order);
-        let res = run(classes, Discipline::NonpreemptivePriority(order), 2);
+        let res = run(classes, ServiceOrder::NonpreemptivePriority(order), 2);
         for c in 0..2 {
             assert!(
                 (res.mean_wait[c] - exact.wait[c]).abs() / exact.wait[c] < 0.1,
@@ -315,7 +315,7 @@ mod tests {
         let classes = classes_2();
         let order = vec![1usize, 0];
         let exact = mg1_preemptive_priority(&classes, &order);
-        let res = run(classes, Discipline::PreemptivePriority(order), 3);
+        let res = run(classes, ServiceOrder::PreemptivePriority(order), 3);
         for c in 0..2 {
             assert!(
                 (res.mean_number[c] - exact.number_in_system[c]).abs() / exact.number_in_system[c]
@@ -335,13 +335,13 @@ mod tests {
         let cmu = cmu_order(&classes);
         let mut reverse = cmu.clone();
         reverse.reverse();
-        let res_cmu = run(classes.clone(), Discipline::NonpreemptivePriority(cmu), 4);
+        let res_cmu = run(classes.clone(), ServiceOrder::NonpreemptivePriority(cmu), 4);
         let res_rev = run(
             classes.clone(),
-            Discipline::NonpreemptivePriority(reverse),
+            ServiceOrder::NonpreemptivePriority(reverse),
             4,
         );
-        let res_fifo = run(classes, Discipline::Fifo, 4);
+        let res_fifo = run(classes, ServiceOrder::Fifo, 4);
         assert!(res_cmu.holding_cost_rate < res_rev.holding_cost_rate);
         assert!(res_cmu.holding_cost_rate < res_fifo.holding_cost_rate);
     }
@@ -350,7 +350,7 @@ mod tests {
     fn little_law_consistency() {
         // lambda * (W + E[S]) should match the time-average number in system.
         let classes = classes_2();
-        let res = run(classes.clone(), Discipline::Fifo, 5);
+        let res = run(classes.clone(), ServiceOrder::Fifo, 5);
         for (c, cl) in classes.iter().enumerate() {
             let little = cl.arrival_rate * (res.mean_wait[c] + cl.mean_service());
             assert!(
@@ -367,7 +367,7 @@ mod tests {
             JobClass::new(0, 0.5, dyn_dist(Exponential::with_mean(1.0)), 1.0),
             JobClass::new(1, 0.0, dyn_dist(Exponential::with_mean(1.0)), 1.0),
         ];
-        let res = run(classes, Discipline::Fifo, 6);
+        let res = run(classes, ServiceOrder::Fifo, 6);
         assert_eq!(res.completed[1], 0);
         assert!(res.mean_number[1].abs() < 1e-9);
     }

@@ -1,15 +1,12 @@
-//! Minimal JSON helpers shared by the workspace's harness binaries
-//! (`experiments`, `sweeps`, `parallel_replications` in ss-bench and
-//! `verify` in ss-verify).
+//! Minimal JSON helpers for the `index_service` binary in ss-bench, which
+//! records `BENCH_index_service.json`.
 //!
 //! The workspace builds offline with no serde (see `vendor/README.md`), and
-//! the JSON the binaries emit is flat enough that hand-assembled bodies plus
+//! the JSON it emits is flat enough that hand-assembled bodies plus
 //! this escaper and the shared preamble fields are all that is needed.  The
 //! helpers live here — rather than in ss-bench, where they started — because
-//! every harness crate already depends on ss-sim, and the
-//! `host_env_fields` preamble reports the `SS_THREADS` contract this crate
-//! owns; keeping one escaper prevents the emitted JSON from drifting
-//! between binaries.
+//! the `host_env_fields` preamble reports the `SS_THREADS` contract this
+//! crate owns.
 
 /// Escape `s` for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {

@@ -27,8 +27,8 @@
 //! | SEPT/LEPT/WSEPT list schedules  | exact subset-DP flowtime/makespan recursions   |
 //! | fabric M/M/c central-queue wait | Erlang-C mean-wait formula                     |
 //!
-//! The `verify` binary mirrors the `experiments`/`sweeps` harness
-//! conventions (`--jobs`, `--json`, `--check`); `--check` runs the corpus
+//! The `verify` binary mirrors the `experiments` harness conventions
+//! (`--jobs`, `--check`); `--check` runs the corpus
 //! on a fast budget and prints wall-clock-free report lines, so CI can diff
 //! `SS_THREADS=1` against `SS_THREADS=4` byte-for-byte.
 //!

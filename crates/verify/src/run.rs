@@ -37,7 +37,7 @@ use ss_queueing::cobham::{
 use ss_queueing::conservation::conserved_work;
 use ss_queueing::klimov::KlimovNetwork;
 use ss_queueing::klimov_sim::{exact_mean_workload, simulate_klimov_policy};
-use ss_queueing::mg1::{simulate_mg1, Discipline, Mg1Config, Mg1Result};
+use ss_queueing::mg1::{simulate_mg1, Mg1Config, Mg1Result, ServiceOrder};
 use ss_sim::pool;
 use ss_sim::rng::RngStreams;
 use ss_sim::stats::OnlineStats;
@@ -97,10 +97,10 @@ fn run_queue(
     streams: &RngStreams,
 ) -> Verdict {
     let discipline = match mode {
-        QueueMode::Fifo => Discipline::Fifo,
-        QueueMode::Preemptive => Discipline::PreemptivePriority(order.to_vec()),
+        QueueMode::Fifo => ServiceOrder::Fifo,
+        QueueMode::Preemptive => ServiceOrder::PreemptivePriority(order.to_vec()),
         QueueMode::Nonpreemptive | QueueMode::Conservation => {
-            Discipline::NonpreemptivePriority(order.to_vec())
+            ServiceOrder::NonpreemptivePriority(order.to_vec())
         }
     };
     let config = Mg1Config {

@@ -22,10 +22,9 @@ use stochastic_scheduling::distributions::{
 };
 use stochastic_scheduling::queueing::cmu::cmu_order;
 use stochastic_scheduling::queueing::cobham::mg1_nonpreemptive_priority;
-use stochastic_scheduling::queueing::klimov::{
-    klimov_indices, klimov_order, simulate_klimov, KlimovNetwork,
-};
-use stochastic_scheduling::queueing::mg1::{simulate_mg1, Discipline, Mg1Config};
+use stochastic_scheduling::queueing::klimov::{klimov_indices, klimov_order, KlimovNetwork};
+use stochastic_scheduling::queueing::klimov_sim::simulate_klimov_policy;
+use stochastic_scheduling::queueing::mg1::{simulate_mg1, Mg1Config, ServiceOrder};
 
 fn seeded(seed: u64) -> ChaCha8Rng {
     use rand::SeedableRng;
@@ -56,7 +55,7 @@ fn main() {
     // Exact values where the formulas apply, simulation for FIFO.
     let exact_cmu = mg1_nonpreemptive_priority(&classes, &cmu);
     let exact_rev = mg1_nonpreemptive_priority(&classes, &reverse);
-    let sim = |discipline: Discipline, seed: u64| {
+    let sim = |discipline: ServiceOrder, seed: u64| {
         let config = Mg1Config {
             classes: classes.clone(),
             discipline,
@@ -65,8 +64,8 @@ fn main() {
         };
         simulate_mg1(&config, &mut seeded(seed))
     };
-    let fifo = sim(Discipline::Fifo, 1);
-    let sim_cmu = sim(Discipline::NonpreemptivePriority(cmu.clone()), 2);
+    let fifo = sim(ServiceOrder::Fifo, 1);
+    let sim_cmu = sim(ServiceOrder::NonpreemptivePriority(cmu.clone()), 2);
 
     println!("\nsteady-state holding-cost rate (capital tied up per hour):");
     println!(
@@ -119,12 +118,13 @@ fn main() {
     );
     let order = klimov_order(&network);
     println!("Klimov priority order: {order:?}");
-    let res = simulate_klimov(&network, &order, 400_000.0, 10_000.0, &mut seeded(3));
+    let res = simulate_klimov_policy(&network, &order, 400_000.0, 10_000.0, &mut seeded(3));
     println!(
         "holding-cost rate under the Klimov policy : {:.4}",
         res.holding_cost_rate
     );
-    let naive = simulate_klimov(&network, &[0, 1, 2, 3], 400_000.0, 10_000.0, &mut seeded(3));
+    let naive =
+        simulate_klimov_policy(&network, &[0, 1, 2, 3], 400_000.0, 10_000.0, &mut seeded(3));
     println!(
         "holding-cost rate under a naive order     : {:.4}",
         naive.holding_cost_rate

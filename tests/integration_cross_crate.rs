@@ -19,7 +19,7 @@ use stochastic_scheduling::core::job::JobClass;
 use stochastic_scheduling::distributions::{dyn_dist, Exponential};
 use stochastic_scheduling::queueing::cmu::cmu_order;
 use stochastic_scheduling::queueing::cobham::mg1_nonpreemptive_priority;
-use stochastic_scheduling::queueing::mg1::{simulate_mg1, Discipline, Mg1Config};
+use stochastic_scheduling::queueing::mg1::{simulate_mg1, Mg1Config, ServiceOrder};
 
 /// The WSEPT value of an exponential instance computed by the closed form
 /// in `ss-batch` must equal the single-machine exact DP of `exact_exp` and
@@ -89,7 +89,7 @@ fn cobham_formulas_and_simulator_agree_on_cmu() {
     let exact = mg1_nonpreemptive_priority(&classes, &order);
     let config = Mg1Config {
         classes: classes.clone(),
-        discipline: Discipline::NonpreemptivePriority(order),
+        discipline: ServiceOrder::NonpreemptivePriority(order),
         horizon: 150_000.0,
         warmup: 5_000.0,
     };
