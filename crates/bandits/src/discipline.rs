@@ -42,8 +42,6 @@
 //! clock (`Λ = max_j (λ_j + µ_j)`) and one per-slot discount
 //! [`WHITTLE_DISCOUNT`], so the indices are comparable across classes.
 
-use std::collections::HashMap;
-
 use ss_core::discipline::Discipline;
 use ss_core::job::JobClass;
 
@@ -65,8 +63,8 @@ pub struct WhittleQueueDiscipline {
 /// The shared uniformization clock of a class set's Whittle projects:
 /// `Λ = max_j (λ_j + µ_j)`.  Every per-class birth–death project is scaled
 /// by the same clock so the resulting indices are comparable across
-/// classes; exposed so table-serving layers (`ss-index`) can reproduce the
-/// per-class `(a, d)` slot probabilities bit-for-bit.
+/// classes; public so callers of [`discounted_whittle_table`] can
+/// reproduce the per-class `(a, d)` slot probabilities bit-for-bit.
 pub fn whittle_uniformization_clock(classes: &[JobClass]) -> f64 {
     let clock = classes
         .iter()
@@ -83,20 +81,15 @@ impl WhittleQueueDiscipline {
         assert!(!classes.is_empty(), "need >= 1 class");
         assert!(max_queue >= 2, "truncation below 2 states is degenerate");
         let clock = whittle_uniformization_clock(classes);
-        let mut cache = WhittleSolveCache::default();
         let tables = classes
             .iter()
             .map(|c| {
-                let a = c.arrival_rate / clock;
-                let d = c.service_rate() / clock;
-                let idle = cache.idle_solves(a, d, max_queue, WHITTLE_DISCOUNT);
-                let mut table = discounted_whittle_table_warm(
-                    a,
-                    d,
+                let mut table = discounted_whittle_table(
+                    c.arrival_rate / clock,
+                    c.service_rate() / clock,
                     c.holding_cost,
                     max_queue,
                     WHITTLE_DISCOUNT,
-                    idle,
                 );
                 // The empty state never competes for service: pin it to the
                 // bottom so an empty class can never outrank a backed-up one.
@@ -165,122 +158,12 @@ fn solve_threshold_system(a: f64, d: f64, t: usize, n: usize, beta: f64, r: &[f6
     v
 }
 
-/// The cost-independent half of one class's Whittle solve: the discounted
-/// idle-time-to-go vectors `w_T` of every threshold policy `T = 1..=n+1`
-/// on the uniformized chain `(a, d)` truncated at `n`.
-///
-/// The subsidy-problem value under charge `w` is `−u_T + w·w_T`, and only
-/// the `u_T` half depends on the holding cost — so when a scenario's costs
-/// drift but its arrival/service rates do not, the `w_T` solves converge to
-/// *exactly* the same vectors and can be reused verbatim.  This struct is
-/// that reusable state; [`discounted_whittle_table_warm`] consumes it and
-/// is bit-identical to a from-scratch [`discounted_whittle_table`] build
-/// (same Thomas solves, same fair-charge arithmetic, merely hoisted).
-#[derive(Debug, Clone)]
-pub struct WhittleIdleSolves {
-    a: f64,
-    d: f64,
-    n: usize,
-    beta: f64,
-    /// `solves[t - 1]` is `w_T` for threshold `t`, `t = 1..=n+1`.
-    solves: Vec<Vec<f64>>,
-}
-
-impl WhittleIdleSolves {
-    /// Run the `n + 1` idle-time Thomas solves of chain `(a, d, n, beta)`.
-    pub fn new(a: f64, d: f64, n: usize, beta: f64) -> Self {
-        check_uniformized(a, d, beta);
-        let k = n + 1;
-        let solves = (1..=n + 1)
-            .map(|t| {
-                let idle: Vec<f64> = (0..k).map(|s| f64::from(u8::from(s < t))).collect();
-                solve_threshold_system(a, d, t, n, beta, &idle)
-            })
-            .collect();
-        Self {
-            a,
-            d,
-            n,
-            beta,
-            solves,
-        }
-    }
-
-    /// Whether this cache entry is exactly (bit-for-bit) the chain
-    /// `(a, d, n, beta)` — the reuse precondition.
-    pub fn matches(&self, a: f64, d: f64, n: usize, beta: f64) -> bool {
-        self.a.to_bits() == a.to_bits()
-            && self.d.to_bits() == d.to_bits()
-            && self.n == n
-            && self.beta.to_bits() == beta.to_bits()
-    }
-}
-
-/// Keyed store of [`WhittleIdleSolves`], the warm-start state a serving
-/// layer keeps across scenario-parameter drifts.  Keys are the raw bits of
-/// `(a, d, n, beta)`, so a hit can only ever return solves of the exact
-/// chain requested — there is no tolerance and therefore no way for a
-/// "close" chain to contaminate a rebuild.
-#[derive(Debug, Default)]
-pub struct WhittleSolveCache {
-    entries: HashMap<(u64, u64, usize, u64), WhittleIdleSolves>,
-    /// Idle-solve bundles served from cache.
-    pub hits: u64,
-    /// Idle-solve bundles computed fresh.
-    pub misses: u64,
-}
-
-impl WhittleSolveCache {
-    /// The idle solves of chain `(a, d, n, beta)`, computed on first use
-    /// and reused (bit-identically) afterwards.
-    pub fn idle_solves(&mut self, a: f64, d: f64, n: usize, beta: f64) -> &WhittleIdleSolves {
-        let key = (a.to_bits(), d.to_bits(), n, beta.to_bits());
-        match self.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(WhittleIdleSolves::new(a, d, n, beta))
-            }
-        }
-    }
-}
-
-fn check_uniformized(a: f64, d: f64, beta: f64) {
-    assert!(
-        a > 0.0 && d > 0.0 && a + d <= 1.0 + 1e-12,
-        "need a uniformized chain"
-    );
-    assert!((0.0..1.0).contains(&beta));
-}
-
 /// Discounted Whittle indices of the truncated birth–death service-control
 /// project (`a` = per-slot arrival probability, `d` = per-slot service
 /// probability, holding cost `c · s(s+1)/2` per slot) for states `0..=n`.
 /// State 0 gets index 0 — callers that never serve empty classes overwrite
 /// it.  The table is ironed to be nondecreasing, a no-op for this convex
 /// cost away from floating-point dust.
-pub fn discounted_whittle_table(
-    a: f64,
-    d: f64,
-    holding_cost: f64,
-    n: usize,
-    beta: f64,
-) -> Vec<f64> {
-    let idle = WhittleIdleSolves::new(a, d, n, beta);
-    discounted_whittle_table_warm(a, d, holding_cost, n, beta, &idle)
-}
-
-/// [`discounted_whittle_table`] with the cost-independent idle solves
-/// supplied by the caller (warm start): only the cost-to-go half is solved
-/// here, halving the Thomas work of a rebuild whose rates did not drift.
-///
-/// The result is bit-identical to the cold path — `idle` must be the
-/// solves of exactly this chain (hard error otherwise), the cost solves are
-/// the same calls the cold path makes, and the fair-charge differencing
-/// runs in the same order on the same values.
 ///
 /// ## Saturation / sentinel contract (release-mode hardened)
 ///
@@ -290,34 +173,38 @@ pub fn discounted_whittle_table(
 /// or an accidental ±∞ sentinel into a serving table.  (The only infinity
 /// a discipline table carries is the *deliberate* `-∞` pinned onto the
 /// empty state by [`WhittleQueueDiscipline::new`].)
-pub fn discounted_whittle_table_warm(
+pub fn discounted_whittle_table(
     a: f64,
     d: f64,
     holding_cost: f64,
     n: usize,
     beta: f64,
-    idle: &WhittleIdleSolves,
 ) -> Vec<f64> {
-    check_uniformized(a, d, beta);
-    assert!(holding_cost > 0.0);
     assert!(
-        idle.matches(a, d, n, beta),
-        "idle solves are for a different chain than (a={a}, d={d}, n={n}, beta={beta})"
+        a > 0.0 && d > 0.0 && a + d <= 1.0 + 1e-12,
+        "need a uniformized chain"
     );
+    assert!(holding_cost > 0.0 && (0.0..1.0).contains(&beta));
     let k = n + 1;
     let cost: Vec<f64> = (0..k)
         .map(|s| holding_cost * (s * (s + 1)) as f64 / 2.0)
         .collect();
-    // u[t]: discounted cost-to-go of threshold t = 1..=n+1 (t = n+1 never
-    // serves); the idle-time-to-go half comes precomputed from `idle`.
-    let evaluate = |t: usize| solve_threshold_system(a, d, t, n, beta, &cost);
+    // u[t], w[t]: discounted cost-to-go / idle-time-to-go of threshold
+    // t = 1..=n+1 (t = n+1 never serves).
+    let evaluate = |t: usize| {
+        let idle: Vec<f64> = (0..k).map(|s| f64::from(u8::from(s < t))).collect();
+        (
+            solve_threshold_system(a, d, t, n, beta, &cost),
+            solve_threshold_system(a, d, t, n, beta, &idle),
+        )
+    };
     let mut table = vec![0.0];
     let mut running_max = f64::NEG_INFINITY;
     let mut lower = evaluate(1);
     for s in 1..=n {
         let upper = evaluate(s + 1);
-        let du = upper[s] - lower[s];
-        let dw = idle.solves[s][s] - idle.solves[s - 1][s];
+        let du = upper.0[s] - lower.0[s];
+        let dw = upper.1[s] - lower.1[s];
         assert!(dw > 0.0, "raising the threshold idles state {s} more");
         let index = du / dw;
         assert!(!index.is_nan(), "NaN Whittle index at state {s}");
@@ -489,42 +376,32 @@ mod tests {
         }
     }
 
-    /// The warm-start path must be bit-identical to the cold path — both
-    /// with the idle solves it was built from and across a holding-cost
-    /// drift (the cost-independent solves are exactly reusable).
+    /// The discipline's rows are exactly the cold table of each class's
+    /// uniformized chain, across holding costs.  Class 1 owns the clock
+    /// (`λ + µ = 1`), so class 0's chain is `(a, d) = (0.25, 0.5)` exactly.
     #[test]
     fn warm_start_is_bit_identical_to_cold() {
         let (a, d, n, beta) = (0.25, 0.5, 15, 0.99);
-        let idle = WhittleIdleSolves::new(a, d, n, beta);
         for cost in [1.0, 2.5, 0.125] {
+            let classes = [class(0, 0.25, 2.0, cost), class(1, 0.5, 2.0, 1.0)];
+            let disc = WhittleQueueDiscipline::new(&classes, n);
             let cold = discounted_whittle_table(a, d, cost, n, beta);
-            let warm = discounted_whittle_table_warm(a, d, cost, n, beta, &idle);
-            for s in 0..=n {
+            let row = disc.table(0);
+            assert_eq!(row[0], f64::NEG_INFINITY);
+            for s in 1..=n {
                 assert_eq!(
                     cold[s].to_bits(),
-                    warm[s].to_bits(),
-                    "cost {cost}, state {s}: warm diverged from cold"
+                    row[s].to_bits(),
+                    "cost {cost}, state {s}: discipline row diverged from cold table"
                 );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "different chain")]
-    fn idle_solves_for_a_different_chain_are_rejected() {
-        let idle = WhittleIdleSolves::new(0.25, 0.5, 10, 0.99);
-        discounted_whittle_table_warm(0.3, 0.5, 1.0, 10, 0.99, &idle);
-    }
-
-    #[test]
     fn solve_cache_reuses_identical_chains() {
-        let mut cache = WhittleSolveCache::default();
-        cache.idle_solves(0.25, 0.5, 10, 0.99);
-        cache.idle_solves(0.25, 0.5, 10, 0.99);
-        cache.idle_solves(0.30, 0.5, 10, 0.99);
-        assert_eq!((cache.hits, cache.misses), (1, 2));
-        // A discipline over classes sharing one (a, d) chain hits the
-        // cache internally; different chains never alias.
+        // Two classes on one (a, d) chain differ only in holding cost, and
+        // the costlier one ranks higher.
         let d = WhittleQueueDiscipline::new(&[class(0, 0.3, 1.0, 1.0), class(1, 0.3, 1.0, 5.0)], 8);
         assert!(d.class_index(1, 3) > d.class_index(0, 3));
     }

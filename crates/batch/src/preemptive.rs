@@ -55,35 +55,11 @@ pub fn gittins_service_index(
     horizon: f64,
     grid_points: usize,
 ) -> f64 {
-    let rate = gittins_service_rate(dist, attained, min_quantum, horizon, grid_points);
-    if rate.is_infinite() {
-        // The job is (numerically) sure to be complete; top priority
-        // regardless of weight so the simulator finishes it off.
-        return f64::INFINITY;
-    }
-    weight * rate
-}
-
-/// The weight-independent part of [`gittins_service_index`]: the supremum
-/// of completion-probability over expected-quantum ratios, so that
-/// `gittins_service_index = weight · gittins_service_rate` (with the
-/// numerically-complete `+∞` case passed through unscaled).
-///
-/// Split out so warm-start serving layers (`ss-index`) can cache the
-/// expensive grid supremum per distribution and reprice a holding-cost
-/// drift with one multiply — bit-identical to a cold rebuild, because the
-/// cold path is this same function followed by the same multiply.
-pub fn gittins_service_rate(
-    dist: &dyn ServiceDistribution,
-    attained: f64,
-    min_quantum: f64,
-    horizon: f64,
-    grid_points: usize,
-) -> f64 {
     assert!(min_quantum > 0.0 && horizon > min_quantum && grid_points >= 2);
     let sa = dist.sf(attained);
     if sa <= 1e-12 {
-        // The job is (numerically) sure to be complete.
+        // The job is (numerically) sure to be complete; top priority
+        // regardless of weight so the simulator finishes it off.
         return f64::INFINITY;
     }
     let ratio = (horizon / min_quantum).powf(1.0 / (grid_points - 1) as f64);
@@ -107,7 +83,7 @@ pub fn gittins_service_rate(
         }
         s *= ratio;
     }
-    best
+    weight * best
 }
 
 /// Outcome of one simulated preemptive schedule.
@@ -150,7 +126,7 @@ impl PreemptiveConfig {
     ///
     /// A review period that is not finite and positive would never let a
     /// job's attained service reach its size, so the simulator would loop
-    /// forever; the grid checks are the ones [`gittins_service_rate`]
+    /// forever; the grid checks are the ones [`gittins_service_index`]
     /// asserts.
     pub fn validate(&self) -> Result<(), PreemptiveConfigError> {
         if !(self.review_period.is_finite() && self.review_period > 0.0) {

@@ -978,6 +978,14 @@ fn e15_fluid() -> String {
 
 // ---------------------------------------------------------------- E16 ---
 
+/// E16's disciplines, in table-column order.
+const E16_POLICIES: [&str; 3] = ["cmu-with-setups", "exhaustive", "gated"];
+
+/// E16's simulated horizon and warm-up; costs and setups are counted over
+/// the window between them.
+const E16_HORIZON: f64 = 150_000.0;
+const E16_WARMUP: f64 = 5_000.0;
+
 fn e16_polling() -> String {
     let classes = vec![
         ss_core::job::JobClass::new(
@@ -993,52 +1001,88 @@ fn e16_polling() -> String {
             2.0,
         ),
     ];
+    let rho: f64 = classes
+        .iter()
+        .map(|c| c.arrival_rate * c.mean_service())
+        .sum();
     let mut out = String::from(
         "### E16: 2-class M/M/1 with class switchover times\n\n| setup time | cmu-with-setups cost | exhaustive polling cost | gated polling cost | cmu setups | exhaustive setups | gated setups |\n|---|---|---|---|---|---|---|\n",
     );
+    let mut rows = Vec::new();
     for &setup_time in &[0.0, 0.1, 0.3, 0.6, 1.0] {
         let setups: Vec<_> = (0..2)
             .map(|_| dyn_dist(ss_distributions::Deterministic::new(setup_time)))
             .collect();
-        let mut rng = workloads::rng_for(1600);
-        let cmu = simulate_polling(
-            &classes,
-            &setups,
+        let runs = [
             PollingDiscipline::CmuWithSetups,
-            150_000.0,
-            5_000.0,
-            &mut rng,
-        );
-        let mut rng = workloads::rng_for(1600);
-        let exhaustive = simulate_polling(
-            &classes,
-            &setups,
             PollingDiscipline::Exhaustive,
-            150_000.0,
-            5_000.0,
-            &mut rng,
-        );
-        let mut rng = workloads::rng_for(1600);
-        let gated = simulate_polling(
-            &classes,
-            &setups,
             PollingDiscipline::Gated,
-            150_000.0,
-            5_000.0,
-            &mut rng,
-        );
+        ]
+        .map(|discipline| {
+            let mut rng = workloads::rng_for(1600);
+            simulate_polling(
+                &classes,
+                &setups,
+                discipline,
+                E16_HORIZON,
+                E16_WARMUP,
+                &mut rng,
+            )
+        });
+        // The server is busy a fraction rho serving plus the time it spends
+        // in setups; at a load of 1 or more the queue has no steady state
+        // and the measured cost only reflects the horizon.
+        let costs = runs.each_ref().map(|r| {
+            let load = rho + r.setups as f64 * setup_time / (E16_HORIZON - E16_WARMUP);
+            (load < 1.0).then_some(r.holding_cost_rate)
+        });
+        let cell = |c: Option<f64>| c.map_or_else(|| "unstable".to_string(), |v| format!("{v:.3}"));
         out.push_str(&format!(
-            "| {setup_time} | {:.3} | {:.3} | {:.3} | {} | {} | {} |\n",
-            cmu.holding_cost_rate,
-            exhaustive.holding_cost_rate,
-            gated.holding_cost_rate,
-            cmu.setups,
-            exhaustive.setups,
-            gated.setups
+            "| {setup_time} | {} | {} | {} | {} | {} | {} |\n",
+            cell(costs[0]),
+            cell(costs[1]),
+            cell(costs[2]),
+            runs[0].setups,
+            runs[1].setups,
+            runs[2].setups
         ));
+        rows.push((setup_time, costs));
     }
-    out.push_str("\nWith no setups the cmu rule wins (Cox–Smith); as changeovers grow the exhaustive (polling) discipline overtakes it, with gated service close behind — the regime studied by Levy–Sidi and Reiman–Wein.\n");
+    out.push_str(&format!("\n{}\n", e16_conclusion(&rows)));
     out
+}
+
+/// E16's conclusion, read off its table: the cheapest stable discipline
+/// at each setup time, and every cell without a steady state.
+fn e16_conclusion(rows: &[(f64, [Option<f64>; 3])]) -> String {
+    let mut winners = Vec::new();
+    let mut unstable = Vec::new();
+    for (setup_time, costs) in rows {
+        let best = costs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.map(|c| (i, c)))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let name = best.map_or("none (every discipline unstable)", |(i, _)| E16_POLICIES[i]);
+        winners.push(format!("{setup_time}: {name}"));
+        for (i, cost) in costs.iter().enumerate() {
+            if cost.is_none() {
+                unstable.push(format!("{} at setup time {setup_time}", E16_POLICIES[i]));
+            }
+        }
+    }
+    let unstable = if unstable.is_empty() {
+        "Every cell has a load below 1.".to_string()
+    } else {
+        format!(
+            "Unstable (load rho + setups x setup time / measured window >= 1, so no steady-state cost): {}.",
+            unstable.join(", ")
+        )
+    };
+    format!(
+        "Lowest holding-cost rate by setup time — {}. {unstable} Switchover costs of this kind are the regime studied by Levy–Sidi and Reiman–Wein.",
+        winners.join("; ")
+    )
 }
 
 // ---------------------------------------------------------------- E17 ---
@@ -1425,6 +1469,25 @@ fn e22_metastable_retry_storm() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn e16_conclusion_follows_the_table() {
+        let text = e16_conclusion(&[
+            (0.0, [Some(3.0), Some(4.0), Some(3.5)]),
+            (0.3, [Some(5.0), Some(4.9), Some(4.5)]),
+            (1.0, [None, Some(6.6), Some(7.3)]),
+        ]);
+        assert!(
+            text.contains("0: cmu-with-setups; 0.3: gated; 1: exhaustive."),
+            "{text}"
+        );
+        assert!(text.contains("cmu-with-setups at setup time 1."), "{text}");
+        let stable = e16_conclusion(&[(0.0, [Some(1.0), Some(2.0), Some(3.0)])]);
+        assert!(
+            stable.contains("Every cell has a load below 1."),
+            "{stable}"
+        );
+    }
 
     #[test]
     fn klimov_verdict_follows_the_table() {

@@ -1,4 +1,4 @@
-//! Workloads of the `index_service` binary: sharded Whittle-backed
+//! Workloads of the `index_service` gate: sharded Whittle-backed
 //! [`IndexTable`]s, deterministic query streams, and the three
 //! decision-serving paths under comparison —
 //!
@@ -9,7 +9,7 @@
 //! * **recompute**: no serving layer at all — every decision re-runs the
 //!   discounted Whittle solve for the queried class, which is what the
 //!   per-call solver adapters would cost if the indices were not
-//!   tabulated.  This is the denominator of the committed perf budget.
+//!   tabulated.  This is the denominator of the perf budget.
 //!
 //! Every path folds its answers into an xor-of-bits checksum, so the
 //! binary can assert the three paths agree bit-for-bit on the same stream
@@ -23,7 +23,7 @@ use ss_bandits::discipline::{
 use ss_core::discipline::Discipline;
 use ss_core::job::JobClass;
 use ss_distributions::{dyn_dist, Exponential};
-use ss_index::{IndexService, IndexTable, TableKind, TierSpec};
+use ss_index::{build_table, IndexTable, TableKind, TierSpec};
 
 /// Whittle truncation boundary used by every shard (matches the fabric's
 /// `WHITTLE_TRUNCATION`, so stride = 41).
@@ -43,8 +43,7 @@ pub struct IndexShard {
 fn shard(name: &'static str, n_classes: usize) -> IndexShard {
     let classes: Vec<JobClass> = (0..n_classes)
         .map(|j| {
-            // Distinct rates/costs per class so no two rows collide in the
-            // service's caches: the build cost is honest, not memoised.
+            // Distinct rates/costs per class, so every row is its own solve.
             let mean = 0.4 + (j % 97) as f64 * 0.013;
             let arrival = 0.05 + (j % 89) as f64 * 0.007;
             let cost = 0.25 + (j % 101) as f64 * 0.125;
@@ -52,7 +51,7 @@ fn shard(name: &'static str, n_classes: usize) -> IndexShard {
         })
         .collect();
     let clock = whittle_uniformization_clock(&classes);
-    let table = IndexService::new().build(&TierSpec {
+    let table = build_table(&TierSpec {
         kind: TableKind::Whittle {
             truncation: TRUNCATION,
         },

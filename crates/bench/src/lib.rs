@@ -13,9 +13,9 @@
 //!   workloads) — bit-exact text artifacts of the replication engine, the
 //!   Monte-Carlo sweeps and a harness subset, which `ss-conform` pins
 //!   across pool sizes and against golden fixtures;
-//! * the **`index_service` binary** ([`index_service`]) — records
-//!   `BENCH_index_service.json` and gates the serving layer's
-//!   batched-vs-recompute throughput ratio (`--budget`, run by CI).
+//! * the **`index_service` binary** ([`index_service`]) — the CI gate on
+//!   the serving layer's batched-vs-recompute throughput ratio, measured
+//!   live on every shard.
 //!
 //! [`workloads`] holds the shared instance builders so that the harness and
 //! the conformance sweeps exercise exactly the same configurations.  The

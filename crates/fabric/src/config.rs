@@ -15,7 +15,7 @@ use ss_batch::discipline::GittinsGrid;
 use ss_core::discipline::Discipline;
 use ss_core::job::JobClass;
 use ss_distributions::DynDist;
-use ss_index::{IndexService, TableKind, TierSpec};
+use ss_index::{TableKind, TierSpec};
 
 use crate::resilience::{
     BreakerConfig, DeadlineConfig, OutageConfig, ShedderConfig, SlowdownConfig,
@@ -261,8 +261,8 @@ impl FabricConfig {
             .collect()
     }
 
-    /// The `ss-index` tabulation spec of tier `tier` — what the index
-    /// service builds this tier's SoA table from.
+    /// The `ss-index` tabulation spec of tier `tier` — what
+    /// [`ss_index::build_table`] builds this tier's SoA table from.
     pub fn tier_spec(&self, tier: usize) -> TierSpec {
         TierSpec {
             kind: match self.tiers[tier].discipline {
@@ -278,21 +278,18 @@ impl FabricConfig {
     }
 
     /// Instantiate tier `tier`'s discipline as a flat `ss-index` SoA table
-    /// (bit-identical indices to the per-call solver adapters it
-    /// replaced).  Index tabulation (Gittins, Whittle) can be expensive —
+    /// (tabulated from the per-call solver disciplines, so bit-identical
+    /// indices).  Index tabulation (Gittins, Whittle) can be expensive —
     /// build once per scenario via [`FabricConfig::build_disciplines`] and
     /// share the result across replications.
     pub fn build_discipline(&self, tier: usize) -> Arc<dyn Discipline> {
         Arc::new(ss_index::build_table(&self.tier_spec(tier)))
     }
 
-    /// All tier disciplines of this scenario, built once through a shared
-    /// [`IndexService`] so tiers with identical class parameters reuse
-    /// each other's converged solver state.
+    /// All tier disciplines of this scenario, one table per tier.
     pub fn build_disciplines(&self) -> Vec<Arc<dyn Discipline>> {
-        let mut service = IndexService::new();
         (0..self.tiers.len())
-            .map(|t| service.build_arc(&self.tier_spec(t)))
+            .map(|t| self.build_discipline(t))
             .collect()
     }
 }

@@ -7,10 +7,8 @@
 //! times per simulated second: it tabulates every discipline's indices
 //! once into flat, cache-friendly structure-of-arrays slabs, answers
 //! single lookups with one bounds-checked load (zero allocation, no
-//! virtual dispatch needed on the monomorphic path), answers batched
-//! lookups over a caller-owned buffer, and rebuilds tables incrementally
-//! when scenario parameters drift — reusing every piece of converged
-//! solver state whose inputs did not change, bit-for-bit.
+//! virtual dispatch needed on the monomorphic path) and answers batched
+//! lookups over a caller-owned buffer.
 //!
 //! ## Architecture
 //!
@@ -24,29 +22,76 @@
 //!   selection position-dependent.
 //! * [`TierSpec`] / [`TableKind`] — the solver-agnostic description of
 //!   what to tabulate (which discipline, over which job classes).
-//! * [`IndexService`] — the stateful builder: owns the warm-start caches
-//!   (Whittle idle-time Thomas solves keyed by exact chain bits, Gittins
-//!   grid suprema keyed by a distribution fingerprint, finished rows keyed
-//!   by full parameter bits) and reports what it reused via
-//!   [`RebuildStats`].  A warm rebuild is **bit-identical** to a cold one
-//!   by construction: caches are keyed on the exact bits of every input
-//!   the cached computation consumed, so a hit replays the identical
-//!   floating-point history.
+//! * [`build_table`] — a pure, cold build: each kind's indices come from
+//!   its solver crate's discipline constructor, so the index arithmetic
+//!   lives in exactly one place and the table is bit-identical to the
+//!   per-call discipline by construction.
 //!
 //! The service fabric (`ss-fabric`) builds its tier disciplines through
-//! this crate; the `index_service` bench target and its committed
-//! `BENCH_index_service.json` baseline (CI perf-budget gate) measure the
-//! decisions/second the tables serve at realistic sizes.
+//! this crate; the `index_service` binary in `ss-bench` gates the
+//! decisions/second the tables serve against per-decision recomputation.
 
-pub mod service;
 pub mod table;
 
-pub use service::{IndexService, RebuildStats, TableKind, TierSpec};
+use ss_bandits::discipline::WhittleQueueDiscipline;
+use ss_batch::discipline::{gittins_discipline, GittinsGrid};
+use ss_core::job::JobClass;
+use ss_queueing::discipline::cmu_discipline;
+
 pub use table::IndexTable;
 
-/// Tabulate one tier's discipline from a cold start (no cache carried
-/// across calls).  For repeated builds over drifting parameters, hold an
-/// [`IndexService`] instead.
+/// Which discipline a tier tabulates.
+#[derive(Debug, Clone, Copy)]
+pub enum TableKind {
+    /// Constant index 0 for every class — global FIFO via the tie-break.
+    Fifo,
+    /// The cµ rule: static per-class index `c_j · µ_j`.
+    Cmu,
+    /// Gittins service index at zero attained service, on the given grid.
+    Gittins(GittinsGrid),
+    /// Discounted Whittle indices of the per-class queue-length projects,
+    /// truncated at `truncation` (states `0..=truncation`).
+    Whittle { truncation: usize },
+}
+
+impl TableKind {
+    /// Short stable key, matching the per-call disciplines' `name()`s (the
+    /// report lines and conformance fixtures depend on these strings).
+    pub fn key(&self) -> &'static str {
+        match self {
+            Self::Fifo => "fifo",
+            Self::Cmu => "cmu",
+            Self::Gittins(_) => "gittins",
+            Self::Whittle { .. } => "whittle",
+        }
+    }
+}
+
+/// What one tier's table is built from: the discipline kind and the job
+/// classes (arrival rate, service distribution, holding cost) it ranks.
+#[derive(Clone)]
+pub struct TierSpec {
+    pub kind: TableKind,
+    pub classes: Vec<JobClass>,
+}
+
+/// Tabulate one tier's discipline.  The result is a pure function of
+/// `spec`: static kinds get one column per class, Whittle one row of
+/// `truncation + 1` queue lengths (empty state pinned to `-∞`).
 pub fn build_table(spec: &TierSpec) -> IndexTable {
-    IndexService::new().build(spec)
+    let classes = &spec.classes;
+    assert!(!classes.is_empty(), "need >= 1 class");
+    let column = |indices: &[f64]| indices.iter().map(|&v| vec![v]).collect();
+    let rows: Vec<Vec<f64>> = match spec.kind {
+        TableKind::Fifo => classes.iter().map(|_| vec![0.0]).collect(),
+        TableKind::Cmu => column(cmu_discipline(classes).indices()),
+        TableKind::Gittins(grid) => column(gittins_discipline(classes, grid).indices()),
+        TableKind::Whittle { truncation } => {
+            let whittle = WhittleQueueDiscipline::new(classes, truncation);
+            (0..classes.len())
+                .map(|c| whittle.table(c).to_vec())
+                .collect()
+        }
+    };
+    IndexTable::from_rows(spec.kind.key(), &rows)
 }

@@ -5,16 +5,16 @@
 //!
 //! The index layer consumes **no randomness of its own** (no RNG streams,
 //! no iteration over unordered containers on the value path), so these
-//! properties double as the seed-purity check: two services fed the same
-//! specs in any order must emit bit-identical tables.
+//! properties double as the seed-purity check: the same specs built in any
+//! order must emit bit-identical tables.
 
 use proptest::prelude::*;
 use ss_bandits::discipline::WhittleQueueDiscipline;
 use ss_batch::discipline::{gittins_discipline, GittinsGrid};
 use ss_core::discipline::{Discipline, Fifo};
 use ss_core::job::JobClass;
-use ss_distributions::{dyn_dist, DynDist, Erlang, Exponential, HyperExponential};
-use ss_index::{IndexService, TableKind, TierSpec};
+use ss_distributions::{dyn_dist, DynDist, Empirical, Erlang, Exponential, HyperExponential};
+use ss_index::{build_table, TableKind, TierSpec};
 use ss_queueing::discipline::cmu_discipline;
 
 const TRUNCATION: usize = 40;
@@ -53,6 +53,18 @@ fn probe_lens() -> impl Iterator<Item = usize> {
     (0..=TRUNCATION + 5).chain([100, 4096, usize::MAX])
 }
 
+/// The per-call discipline a table of `kind` over `classes` must match.
+fn reference(kind: TableKind, classes: &[JobClass]) -> Box<dyn Discipline> {
+    match kind {
+        TableKind::Fifo => Box::new(Fifo),
+        TableKind::Cmu => Box::new(cmu_discipline(classes)),
+        TableKind::Gittins(grid) => Box::new(gittins_discipline(classes, grid)),
+        TableKind::Whittle { truncation } => {
+            Box::new(WhittleQueueDiscipline::new(classes, truncation))
+        }
+    }
+}
+
 fn assert_bitmatch(table: &dyn Discipline, legacy: &dyn Discipline, classes: usize) {
     for j in 0..classes {
         for len in probe_lens() {
@@ -78,29 +90,26 @@ proptest! {
         raws in prop::collection::vec(0u32..u32::MAX, 3..15),
     ) {
         let classes = decode_classes(&raws);
-        let mut service = IndexService::new();
         let grid = GittinsGrid::default();
 
-        let kinds: Vec<(TableKind, Box<dyn Discipline>)> = vec![
-            (TableKind::Fifo, Box::new(Fifo)),
-            (TableKind::Cmu, Box::new(cmu_discipline(&classes))),
-            (TableKind::Gittins(grid), Box::new(gittins_discipline(&classes, grid))),
-            (
-                TableKind::Whittle { truncation: TRUNCATION },
-                Box::new(WhittleQueueDiscipline::new(&classes, TRUNCATION)),
-            ),
+        let kinds = [
+            TableKind::Fifo,
+            TableKind::Cmu,
+            TableKind::Gittins(grid),
+            TableKind::Whittle { truncation: TRUNCATION },
         ];
-        for (kind, legacy) in kinds {
+        for kind in kinds {
+            let legacy = reference(kind, &classes);
             let spec = TierSpec { kind, classes: classes.clone() };
-            let table = service.build(&spec);
+            let table = build_table(&spec);
             prop_assert_eq!(table.name(), legacy.name());
             assert_bitmatch(&table, legacy.as_ref(), classes.len());
         }
     }
 
-    /// Seed purity / order independence: a warm service that already
-    /// digested arbitrary other specs still emits bit-identical tables to
-    /// a cold one — cache state affects speed, never values.
+    /// Seed purity / order independence: building arbitrary other specs
+    /// first never changes a table — every spec, built forward and then
+    /// again in reverse, is bit-identical to its reference discipline.
     #[test]
     fn warm_service_is_bit_pure_whatever_it_saw_before(
         first in prop::collection::vec(0u32..u32::MAX, 3..12),
@@ -119,21 +128,37 @@ proptest! {
             })
             .collect();
 
-        // Cold: each spec in a fresh service.
-        let cold: Vec<Vec<f64>> = specs
-            .iter()
-            .map(|s| IndexService::new().build(s).slab().to_vec())
-            .collect();
-        // Warm: one service digests them all, then rebuilds in reverse.
-        let mut warm = IndexService::new();
-        for s in &specs {
-            warm.build(s);
-        }
-        for (s, cold_slab) in specs.iter().zip(&cold).rev() {
-            let rebuilt = warm.build(s);
-            for (a, b) in rebuilt.slab().iter().zip(cold_slab) {
+        let forward: Vec<Vec<f64>> = specs.iter().map(|s| build_table(s).slab().to_vec()).collect();
+        for (s, first_slab) in specs.iter().zip(&forward).rev() {
+            let rebuilt = build_table(s);
+            for (a, b) in rebuilt.slab().iter().zip(first_slab) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
+            assert_bitmatch(&rebuilt, reference(s.kind, &s.classes).as_ref(), s.classes.len());
         }
+    }
+}
+
+/// Two distinct `Empirical` services in one Gittins tier each get their
+/// own index: no lossy distribution fingerprint may alias them.
+#[test]
+fn gittins_tier_keeps_distinct_empirical_services_apart() {
+    let classes = vec![
+        JobClass::new(0, 0.3, dyn_dist(Empirical::new(vec![1.0, 1.0, 3.0])), 1.0),
+        JobClass::new(1, 0.3, dyn_dist(Empirical::new(vec![1.25, 1.25, 2.5])), 1.0),
+    ];
+    let grid = GittinsGrid::default();
+    let table = build_table(&TierSpec {
+        kind: TableKind::Gittins(grid),
+        classes: classes.clone(),
+    });
+    let expected = gittins_discipline(&classes, grid);
+    for (j, &want) in expected.indices().iter().enumerate() {
+        let got = table.lookup(j, 0);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "class {j}: table serves {got}, gittins_discipline gives {want}"
+        );
     }
 }

@@ -1,13 +1,16 @@
-//! Warm-start rebuild semantics of [`IndexService`]: a rebuild after
-//! parameter drift is **bit-identical** to a cold build of the drifted
-//! spec, and the [`RebuildStats`] counters prove the intended reuse class
-//! actually happened (row copy, idle-solve warm start, or cached Gittins
-//! rate) instead of silently falling back to cold work.
+//! Rebuilds after parameter drift: [`build_table`] keeps no state between
+//! calls, so a table built after a drift in holding cost or arrival rate
+//! is bit-identical to the per-call discipline built from the drifted
+//! classes, whatever was built before it.
 
-use ss_batch::discipline::GittinsGrid;
+use ss_bandits::discipline::WhittleQueueDiscipline;
+use ss_batch::discipline::{gittins_discipline, GittinsGrid};
+use ss_core::discipline::Discipline;
 use ss_core::job::JobClass;
 use ss_distributions::{dyn_dist, Erlang, Exponential};
-use ss_index::{IndexService, TableKind, TierSpec};
+use ss_index::{build_table, IndexTable, TableKind, TierSpec};
+
+const TRUNCATION: usize = 40;
 
 fn classes(costs: &[f64]) -> Vec<JobClass> {
     costs
@@ -26,7 +29,9 @@ fn classes(costs: &[f64]) -> Vec<JobClass> {
 
 fn whittle_spec(costs: &[f64]) -> TierSpec {
     TierSpec {
-        kind: TableKind::Whittle { truncation: 40 },
+        kind: TableKind::Whittle {
+            truncation: TRUNCATION,
+        },
         classes: classes(costs),
     }
 }
@@ -38,29 +43,38 @@ fn gittins_spec(costs: &[f64]) -> TierSpec {
     }
 }
 
-fn assert_same_bits(a: &ss_index::IndexTable, b: &ss_index::IndexTable) {
+fn assert_same_bits(a: &IndexTable, b: &IndexTable) {
     assert_eq!(a.classes(), b.classes());
     assert_eq!(a.stride(), b.stride());
     for (x, y) in a.slab().iter().zip(b.slab()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "warm rebuild drifted from cold");
+        assert_eq!(x.to_bits(), y.to_bits(), "rebuild drifted");
     }
+}
+
+/// Every tabulated entry of `table` equals `reference`'s index, by bits.
+fn assert_matches(table: &IndexTable, reference: &dyn Discipline) {
+    for class in 0..table.classes() {
+        for len in 0..table.stride() {
+            assert_eq!(
+                table.lookup(class, len).to_bits(),
+                reference.class_index(class, len).to_bits(),
+                "class {class}, queue length {len}"
+            );
+        }
+    }
+}
+
+fn whittle_reference(spec: &TierSpec) -> WhittleQueueDiscipline {
+    WhittleQueueDiscipline::new(&spec.classes, TRUNCATION)
 }
 
 #[test]
 fn identical_respec_copies_every_whittle_row() {
     let spec = whittle_spec(&[1.0, 2.0, 0.5]);
-    let mut svc = IndexService::new();
-    let cold = svc.build(&spec);
-    assert_eq!(svc.stats().whittle_rows_cold, 3);
-    assert_eq!(svc.stats().whittle_rows_reused, 0);
-
-    let rebuilt = svc.build(&spec);
-    assert_same_bits(&cold, &rebuilt);
-    let s = svc.stats();
-    assert_eq!(s.whittle_rows_reused, 3, "unchanged rows must be copied");
-    assert_eq!(s.whittle_rows_cold, 3, "no new cold work on respec");
-    assert_eq!(s.whittle_rows_warm, 0);
-    assert_eq!(s.tables_built, 2);
+    let first = build_table(&spec);
+    let rebuilt = build_table(&spec);
+    assert_same_bits(&first, &rebuilt);
+    assert_matches(&rebuilt, &whittle_reference(&spec));
 }
 
 #[test]
@@ -68,43 +82,35 @@ fn holding_cost_drift_reuses_idle_solves_and_stays_bit_identical_to_cold() {
     let before = whittle_spec(&[1.0, 2.0, 0.5]);
     let after = whittle_spec(&[1.0, 2.75, 0.5]); // class 1's cost drifts
 
-    let mut svc = IndexService::new();
-    svc.build(&before);
-    let warm = svc.build(&after);
-    let s = svc.stats();
-    // Classes 0 and 2 are untouched: verbatim row copies.  Class 1 shares
-    // its chain (a, d, truncation, beta) with its old self, so the drift
-    // re-runs only the cost half of the solves against cached idle solves.
-    assert_eq!(s.whittle_rows_reused, 2);
-    assert_eq!(s.whittle_rows_warm, 1, "cost drift must warm-start");
-    assert_eq!(s.whittle_rows_cold, 3, "only the initial build was cold");
-
-    let cold = IndexService::new().build(&after);
-    assert_same_bits(&cold, &warm);
+    build_table(&before);
+    let rebuilt = build_table(&after);
+    assert_matches(&rebuilt, &whittle_reference(&after));
 }
 
 #[test]
 fn arrival_rate_drift_is_cold_for_the_drifted_class_only() {
     // Class 1 owns the uniformization clock (λ + µ = 0.5 + 2.5) in both
-    // arms, so drifting class 0's arrival rate leaves class 1's key (and
+    // arms, so drifting class 0's arrival rate leaves class 1's row (and
     // the clock itself) untouched.
     let mk = |arrival0: f64| TierSpec {
-        kind: TableKind::Whittle { truncation: 40 },
+        kind: TableKind::Whittle {
+            truncation: TRUNCATION,
+        },
         classes: vec![
             JobClass::new(0, arrival0, dyn_dist(Exponential::with_mean(0.8)), 1.0),
             JobClass::new(1, 0.5, dyn_dist(Exponential::with_mean(0.4)), 2.0),
         ],
     };
-    let mut svc = IndexService::new();
-    svc.build(&mk(0.3));
-    let before = mk(0.21);
-    let warm = svc.build(&before);
-    let s = svc.stats();
-    assert_eq!(s.whittle_rows_reused, 1, "undrifted class copies its row");
-    assert_eq!(s.whittle_rows_cold, 3, "drifted chain cannot warm-start");
-    assert_eq!(s.whittle_rows_warm, 0);
-
-    assert_same_bits(&IndexService::new().build(&before), &warm);
+    let old = build_table(&mk(0.3));
+    let drifted = mk(0.21);
+    let rebuilt = build_table(&drifted);
+    assert_matches(&rebuilt, &whittle_reference(&drifted));
+    for len in 0..rebuilt.stride() {
+        assert_eq!(
+            rebuilt.lookup(1, len).to_bits(),
+            old.lookup(1, len).to_bits()
+        );
+    }
 }
 
 #[test]
@@ -112,31 +118,24 @@ fn gittins_cost_drift_reuses_cached_grid_suprema() {
     let before = gittins_spec(&[1.0, 2.0, 0.5]);
     let after = gittins_spec(&[4.0, 2.0, 0.125]);
 
-    let mut svc = IndexService::new();
-    svc.build(&before);
-    assert_eq!(svc.stats().gittins_rates_computed, 3);
-
-    let warm = svc.build(&after);
-    let s = svc.stats();
-    // The grid supremum is weight-independent: every drifted cost is a
-    // cache hit repriced with one multiply.
-    assert_eq!(s.gittins_rates_reused, 3);
-    assert_eq!(s.gittins_rates_computed, 3);
-
-    assert_same_bits(&IndexService::new().build(&after), &warm);
+    build_table(&before);
+    let rebuilt = build_table(&after);
+    assert_matches(
+        &rebuilt,
+        &gittins_discipline(&after.classes, GittinsGrid::default()),
+    );
 }
 
 #[test]
 fn static_kinds_build_single_column_tables() {
-    let mut svc = IndexService::new();
-    let fifo = svc.build(&TierSpec {
+    let fifo = build_table(&TierSpec {
         kind: TableKind::Fifo,
         classes: classes(&[1.0, 2.0]),
     });
     assert_eq!((fifo.classes(), fifo.stride()), (2, 1));
     assert_eq!(fifo.lookup(0, 10_000).to_bits(), 0.0f64.to_bits());
 
-    let cmu = svc.build(&TierSpec {
+    let cmu = build_table(&TierSpec {
         kind: TableKind::Cmu,
         classes: classes(&[1.0, 2.0]),
     });
@@ -146,5 +145,4 @@ fn static_kinds_build_single_column_tables() {
         cmu.lookup(1, 0).to_bits(),
         cmu.lookup(1, usize::MAX).to_bits()
     );
-    assert_eq!(svc.stats().tables_built, 2);
 }

@@ -7,8 +7,8 @@
 //! every *use* of the types in artifact-producing crates, not just
 //! iteration, because at token level "this map is never iterated" is a
 //! claim only a reviewer can make.  That claim is exactly what a
-//! `lint.toml` allow records (e.g. the exact-bits-keyed caches in
-//! `ss-index` and `ss-bandits`, which are get/insert-only).
+//! `lint.toml` allow records (e.g. an exact-bits-keyed cache that is
+//! get/insert-only).
 //!
 //! Scope: the artifact dataflow — every crate whose output can reach a
 //! committed fixture, bench artifact or CI-diffed report.  `ss-conform`

@@ -3,12 +3,13 @@
 //! **Historical bug class:** timestamp leakage, the third hint
 //! `ss-conform` classifies: a `SystemTime::now()` or `Instant::now()`
 //! value that reaches report text diverges on every run.  The legitimate
-//! sites are few and audited: the bench-artifact preamble timestamp
-//! (`crates/sim/src/json.rs`, `unix_time`) and the binaries' wall-clock
-//! timing lines, which the conformance renderers already strip or omit
-//! (`harness_subset_report` drops `[`-prefixed lines; `--check` renderings
-//! never include them).  Each of those is a `lint.toml` allow with its
-//! reason; any *new* wall-clock read fails the lint until reviewed.
+//! sites are few and audited: the binaries' wall-clock timing lines, which
+//! the conformance renderers already strip or omit (`harness_subset_report`
+//! drops `[`-prefixed lines; `--check` renderings never include them), and
+//! the `index_service` perf gate, which prints a same-host throughput
+//! ratio and writes no artifact.  Each of those is a `lint.toml` allow
+//! with its reason; any *new* wall-clock read fails the lint until
+//! reviewed.
 
 use crate::rules::Finding;
 use crate::scan::SourceFile;

@@ -34,8 +34,6 @@ pub const RENDER_PATHS: &[&str] = &[
     "crates/fabric/src/metrics.rs",
     "crates/fabric/src/scenarios.rs",
     "crates/bench/src/conformance.rs",
-    "crates/bench/src/json.rs",
-    "crates/sim/src/json.rs",
 ];
 
 /// Identifier vocabulary that marks an argument as float-valued in these

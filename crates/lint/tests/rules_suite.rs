@@ -328,6 +328,23 @@ fn workspace_self_scan_is_clean() {
 }
 
 #[test]
+fn rule_scope_paths_exist_in_the_workspace() {
+    // A scope entry naming a deleted file or directory silently scopes
+    // nothing; every entry must name something in the real tree.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let missing: Vec<&str> = rules::l005::RENDER_PATHS
+        .iter()
+        .chain(rules::l001::ARTIFACT_PATHS)
+        .copied()
+        .filter(|p| !root.join(p).exists())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "scope paths not in the tree: {missing:?}"
+    );
+}
+
+#[test]
 fn rule_listing_is_complete_and_ordered() {
     let ids: Vec<&str> = rules::RULES.iter().map(|r| r.id).collect();
     assert_eq!(ids, vec!["L001", "L002", "L003", "L004", "L005", "L006"]);

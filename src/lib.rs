@@ -28,9 +28,8 @@
 //!   fluid models, polling and setup thresholds).
 //! * [`index`] — the decision-serving layer: every discipline's priority
 //!   indices tabulated into flat cache-friendly SoA tables (saturating
-//!   `(class, queue_len)` lookups, zero-alloc single and batched paths)
-//!   with warm-start incremental recomputation on parameter drift, all
-//!   bit-identical to the per-call solvers they front.
+//!   `(class, queue_len)` lookups, zero-alloc single and batched paths),
+//!   built cold from the per-call solvers and bit-identical to them.
 //! * [`fabric`] — service-fabric discrete-event simulator: open arrival
 //!   sources (Poisson / MMPP) feeding load-balanced multi-server tiers with
 //!   pluggable index disciplines (FIFO / cµ / Gittins / Whittle), failures,
