@@ -199,10 +199,17 @@ impl FabricConfig {
         assert!(!self.classes.is_empty(), "need >= 1 class");
         assert!(!self.tiers.is_empty(), "need >= 1 tier");
         assert!(
-            self.warmup >= 0.0 && self.horizon > self.warmup,
-            "need 0 <= warmup < horizon"
+            self.warmup >= 0.0 && self.horizon > self.warmup && self.horizon.is_finite(),
+            "need 0 <= warmup < horizon < inf"
         );
-        assert!(self.retry.base_backoff > 0.0 && self.retry.multiplier >= 1.0);
+        assert!(
+            self.retry.base_backoff > 0.0 && self.retry.base_backoff.is_finite(),
+            "retry base_backoff must be positive and finite"
+        );
+        assert!(
+            self.retry.multiplier >= 1.0 && self.retry.multiplier.is_finite(),
+            "retry multiplier must be >= 1 and finite"
+        );
         for class in &self.classes {
             class.arrivals.validate();
             assert!(class.holding_cost > 0.0 && class.holding_cost.is_finite());
@@ -214,13 +221,23 @@ impl FabricConfig {
                 self.classes.len(),
                 "tier {t} must give a service distribution per class"
             );
-            assert!(tier.hop_delay >= 0.0);
+            assert!(
+                tier.hop_delay >= 0.0 && tier.hop_delay.is_finite(),
+                "tier {t}: hop_delay must be >= 0 and finite"
+            );
             if let LbPolicy::Weighted(w) = &tier.lb {
                 assert_eq!(w.len(), tier.servers, "tier {t}: one weight per server");
                 assert!(w.iter().all(|x| *x > 0.0 && x.is_finite()));
             }
             if let Some(f) = &tier.failure {
-                assert!(f.mean_time_to_failure > 0.0 && f.mean_time_to_repair > 0.0);
+                assert!(
+                    f.mean_time_to_failure > 0.0 && f.mean_time_to_failure.is_finite(),
+                    "tier {t}: mean_time_to_failure must be positive and finite"
+                );
+                assert!(
+                    f.mean_time_to_repair > 0.0 && f.mean_time_to_repair.is_finite(),
+                    "tier {t}: mean_time_to_repair must be positive and finite"
+                );
             }
             if let Some(b) = &tier.breaker {
                 b.validate();
@@ -347,6 +364,76 @@ mod tests {
         let mut c = tiny();
         c.tiers[0].service.clear();
         c.validate();
+    }
+
+    /// `tiny` with every timed chaos process switched on.
+    fn chaotic() -> FabricConfig {
+        let mut c = tiny();
+        c.retry = RetryPolicy {
+            max_retries: 3,
+            base_backoff: 0.5,
+            multiplier: 2.0,
+        };
+        let tier = &mut c.tiers[0];
+        tier.failure = Some(FailureConfig {
+            mean_time_to_failure: 50.0,
+            mean_time_to_repair: 5.0,
+        });
+        tier.slowdown = Some(SlowdownConfig {
+            mean_time_to_slowdown: 20.0,
+            mean_slowdown_duration: 5.0,
+            rate_multiplier: 0.5,
+            max_epochs: 0,
+        });
+        tier.outage = Some(OutageConfig {
+            mean_time_to_outage: 30.0,
+            mean_outage_duration: 2.0,
+            max_epochs: 0,
+        });
+        c
+    }
+
+    #[test]
+    fn chaotic_config_validates() {
+        chaotic().validate();
+    }
+
+    /// One test per timing parameter: an infinite value is rejected by
+    /// `validate` instead of panicking mid-run in the calendar or in
+    /// `sample_exp` (a mean of `inf` is a rate of `0`).
+    macro_rules! rejects_infinite {
+        ($($name:ident: $expected:literal => |$c:ident| $field:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = $expected)]
+            fn $name() {
+                let mut $c = chaotic();
+                $field = f64::INFINITY;
+                $c.validate();
+            }
+        )*};
+    }
+
+    rejects_infinite! {
+        infinite_horizon_is_rejected: "warmup < horizon < inf" => |c| c.horizon;
+        infinite_hop_delay_is_rejected: "hop_delay must be >= 0 and finite"
+            => |c| c.tiers[0].hop_delay;
+        infinite_base_backoff_is_rejected: "base_backoff must be positive and finite"
+            => |c| c.retry.base_backoff;
+        infinite_backoff_multiplier_is_rejected: "multiplier must be >= 1 and finite"
+            => |c| c.retry.multiplier;
+        infinite_time_to_failure_is_rejected: "mean_time_to_failure must be positive and finite"
+            => |c| c.tiers[0].failure.as_mut().unwrap().mean_time_to_failure;
+        infinite_time_to_repair_is_rejected: "mean_time_to_repair must be positive and finite"
+            => |c| c.tiers[0].failure.as_mut().unwrap().mean_time_to_repair;
+        infinite_time_to_slowdown_is_rejected: "mean_time_to_slowdown must be positive and finite"
+            => |c| c.tiers[0].slowdown.as_mut().unwrap().mean_time_to_slowdown;
+        infinite_slowdown_duration_is_rejected:
+            "mean_slowdown_duration must be positive and finite"
+            => |c| c.tiers[0].slowdown.as_mut().unwrap().mean_slowdown_duration;
+        infinite_time_to_outage_is_rejected: "mean_time_to_outage must be positive and finite"
+            => |c| c.tiers[0].outage.as_mut().unwrap().mean_time_to_outage;
+        infinite_outage_duration_is_rejected: "mean_outage_duration must be positive and finite"
+            => |c| c.tiers[0].outage.as_mut().unwrap().mean_outage_duration;
     }
 
     #[test]

@@ -288,8 +288,14 @@ pub struct SlowdownConfig {
 
 impl SlowdownConfig {
     pub(crate) fn validate(&self) {
-        assert!(self.mean_time_to_slowdown > 0.0);
-        assert!(self.mean_slowdown_duration > 0.0);
+        assert!(
+            self.mean_time_to_slowdown > 0.0 && self.mean_time_to_slowdown.is_finite(),
+            "mean_time_to_slowdown must be positive and finite"
+        );
+        assert!(
+            self.mean_slowdown_duration > 0.0 && self.mean_slowdown_duration.is_finite(),
+            "mean_slowdown_duration must be positive and finite"
+        );
         assert!(self.rate_multiplier > 0.0 && self.rate_multiplier <= 1.0);
     }
 }
@@ -312,8 +318,14 @@ pub struct OutageConfig {
 
 impl OutageConfig {
     pub(crate) fn validate(&self) {
-        assert!(self.mean_time_to_outage > 0.0);
-        assert!(self.mean_outage_duration > 0.0);
+        assert!(
+            self.mean_time_to_outage > 0.0 && self.mean_time_to_outage.is_finite(),
+            "mean_time_to_outage must be positive and finite"
+        );
+        assert!(
+            self.mean_outage_duration > 0.0 && self.mean_outage_duration.is_finite(),
+            "mean_outage_duration must be positive and finite"
+        );
     }
 }
 

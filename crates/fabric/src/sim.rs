@@ -117,6 +117,10 @@ impl Server {
 
 struct Tier {
     servers: Vec<Server>,
+    /// Idle-server bitset: bit `s` is set iff server `s` is up and has
+    /// nothing in service (whatever the tier-wide outage flag says).
+    /// [`Tier::sync_idle`] keeps it in step at every transition of either.
+    idle: Vec<u64>,
     discipline: Arc<dyn Discipline>,
     rr_next: usize,
     rng_lb: ChaCha8Rng,
@@ -138,6 +142,28 @@ struct Tier {
     outage: bool,
     outage_epochs: u64,
     rng_outage: Option<ChaCha8Rng>,
+}
+
+impl Tier {
+    /// Recompute server `server`'s idle bit from its state.
+    fn sync_idle(&mut self, server: usize) {
+        let s = &self.servers[server];
+        let bit = 1u64 << (server % 64);
+        if s.up && s.in_service.is_none() {
+            self.idle[server / 64] |= bit;
+        } else {
+            self.idle[server / 64] &= !bit;
+        }
+    }
+
+    /// The lowest-id idle server, if any.
+    fn first_idle(&self) -> Option<usize> {
+        self.idle
+            .iter()
+            .enumerate()
+            .find(|(_, w)| **w != 0)
+            .map(|(k, w)| k * 64 + w.trailing_zeros() as usize)
+    }
 }
 
 /// Discipline selection over a bank of per-class queues: highest index
@@ -246,6 +272,13 @@ impl<'a> FabricSim<'a> {
                         rng_fail: streams.substream(FAIL_FAMILY, (t as u64) * 0x1_0000 + s as u64),
                     })
                     .collect(),
+                // Every server starts up and idle.
+                idle: (0..tier.servers.div_ceil(64))
+                    .map(|k| {
+                        let n = (tier.servers - 64 * k).min(64);
+                        u64::MAX >> (64 - n)
+                    })
+                    .collect(),
                 discipline: Arc::clone(&disciplines[t]),
                 rr_next: 0,
                 rng_lb: streams.substream(LB_FAMILY, t as u64),
@@ -318,6 +351,47 @@ impl<'a> FabricSim<'a> {
         let dt = sample_exp(&mut self.classes[class].rng_arrival, rate);
         let epoch = self.classes[class].arrival_epoch;
         queue.schedule(now + dt, FabricEvent::NextArrival { class, epoch });
+    }
+
+    /// Put every process's first event on the calendar: per class the
+    /// first arrival (and MMPP phase switch), per tier the first failure
+    /// of each server, slowdown onset and outage onset.
+    fn schedule_initial_events(&mut self, queue: &mut EventQueue<FabricEvent>) {
+        let cfg = self.cfg;
+        for class in 0..cfg.classes.len() {
+            let rate = self.arrival_rate(class);
+            let dt = sample_exp(&mut self.classes[class].rng_arrival, rate);
+            queue.schedule(dt, FabricEvent::NextArrival { class, epoch: 0 });
+            if let ArrivalProcess::Mmpp { switch_rate, .. } = cfg.classes[class].arrivals {
+                let dt = sample_exp(&mut self.classes[class].rng_phase, switch_rate);
+                queue.schedule(dt, FabricEvent::PhaseSwitch { class });
+            }
+        }
+        for (t, tier) in cfg.tiers.iter().enumerate() {
+            if let Some(f) = tier.failure {
+                for s in 0..tier.servers {
+                    let dt = sample_exp(
+                        &mut self.tiers[t].servers[s].rng_fail,
+                        1.0 / f.mean_time_to_failure,
+                    );
+                    queue.schedule(dt, FabricEvent::Fail { tier: t, server: s });
+                }
+            }
+            if let Some(s) = tier.slowdown {
+                let dt = sample_exp(
+                    self.tiers[t].rng_slowdown.as_mut().expect("slowdown rng"),
+                    1.0 / s.mean_time_to_slowdown,
+                );
+                queue.schedule(dt, FabricEvent::SlowdownStart { tier: t });
+            }
+            if let Some(o) = tier.outage {
+                let dt = sample_exp(
+                    self.tiers[t].rng_outage.as_mut().expect("outage rng"),
+                    1.0 / o.mean_time_to_outage,
+                );
+                queue.schedule(dt, FabricEvent::OutageStart { tier: t });
+            }
+        }
     }
 
     /// The SLA window containing post-warmup instant `t` (`None` during
@@ -397,13 +471,7 @@ impl<'a> FabricSim<'a> {
             t.shared_queued += 1;
             // Hand the work to the lowest-id idle up server, if any
             // (nobody pulls during a tier-wide outage).
-            let idle = if t.outage {
-                None
-            } else {
-                t.servers
-                    .iter()
-                    .position(|s| s.up && s.in_service.is_none())
-            };
+            let idle = if t.outage { None } else { t.first_idle() };
             if let Some(server) = idle {
                 self.try_start(tier, server, now, queue);
             }
@@ -552,12 +620,14 @@ impl<'a> FabricSim<'a> {
             }
             s.in_service = Some(req);
             s.service_start = now;
+            let epoch = s.epoch;
+            t.sync_idle(server);
             queue.schedule(
                 now + service,
                 FabricEvent::Complete {
                     tier,
                     server,
-                    epoch: s.epoch,
+                    epoch,
                 },
             );
             return;
@@ -726,8 +796,8 @@ impl EventHandler for FabricSim<'_> {
                 self.schedule_next_arrival(class, time, queue);
             }
             FabricEvent::PhaseSwitch { class } => {
-                let ArrivalProcess::Mmpp { rates, switch_rate } =
-                    self.cfg.classes[class].arrivals.clone()
+                let cfg = self.cfg;
+                let ArrivalProcess::Mmpp { rates, switch_rate } = &cfg.classes[class].arrivals
                 else {
                     unreachable!("phase switches only exist for MMPP classes")
                 };
@@ -738,7 +808,7 @@ impl EventHandler for FabricSim<'_> {
                 // new rate (exponential memorylessness makes this exact).
                 st.arrival_epoch += 1;
                 self.schedule_next_arrival(class, time, queue);
-                let dt = sample_exp(&mut self.classes[class].rng_phase, switch_rate);
+                let dt = sample_exp(&mut self.classes[class].rng_phase, *switch_rate);
                 queue.schedule(time + dt, FabricEvent::PhaseSwitch { class });
             }
             FabricEvent::ArriveAtTier { tier, req } => {
@@ -758,6 +828,7 @@ impl EventHandler for FabricSim<'_> {
                     .in_service
                     .take()
                     .expect("a live Complete implies a request in service");
+                self.tiers[tier].sync_idle(server);
                 // The tier did its work; whether in time is the breaker's
                 // success/failure signal (always a success without
                 // deadlines).
@@ -786,6 +857,7 @@ impl EventHandler for FabricSim<'_> {
                 s.epoch += 1;
                 let start = s.service_start;
                 let aborted = s.in_service.take();
+                self.tiers[tier].sync_idle(server);
                 let failure = self.cfg.tiers[tier]
                     .failure
                     .expect("failing tier has a failure config");
@@ -807,6 +879,7 @@ impl EventHandler for FabricSim<'_> {
                 assert!(!s.up, "Recover events are only scheduled while down");
                 s.up = true;
                 let dt = sample_exp(&mut s.rng_fail, 1.0 / failure.mean_time_to_failure);
+                self.tiers[tier].sync_idle(server);
                 queue.schedule(time + dt, FabricEvent::Fail { tier, server });
                 self.try_start(tier, server, time, queue);
             }
@@ -886,6 +959,7 @@ impl EventHandler for FabricSim<'_> {
                     if let Some(req) = s.in_service.take() {
                         s.epoch += 1;
                         let start = s.service_start;
+                        self.tiers[tier].sync_idle(server);
                         self.credit_busy(tier, server, start, time);
                         self.drop_request(tier, req, time, queue);
                     }
@@ -944,42 +1018,7 @@ pub fn run_fabric_with(
     let streams = RngStreams::new(seed);
     let mut sim = FabricSim::new(config, disciplines, &streams);
     let mut engine: Engine<FabricSim> = Engine::new();
-
-    for class in 0..config.classes.len() {
-        let rate = sim.arrival_rate(class);
-        let dt = sample_exp(&mut sim.classes[class].rng_arrival, rate);
-        engine.schedule(dt, FabricEvent::NextArrival { class, epoch: 0 });
-        if let ArrivalProcess::Mmpp { switch_rate, .. } = config.classes[class].arrivals {
-            let dt = sample_exp(&mut sim.classes[class].rng_phase, switch_rate);
-            engine.schedule(dt, FabricEvent::PhaseSwitch { class });
-        }
-    }
-    for (t, tier) in config.tiers.iter().enumerate() {
-        if let Some(f) = tier.failure {
-            for s in 0..tier.servers {
-                let dt = sample_exp(
-                    &mut sim.tiers[t].servers[s].rng_fail,
-                    1.0 / f.mean_time_to_failure,
-                );
-                engine.schedule(dt, FabricEvent::Fail { tier: t, server: s });
-            }
-        }
-        if let Some(s) = tier.slowdown {
-            let dt = sample_exp(
-                sim.tiers[t].rng_slowdown.as_mut().expect("slowdown rng"),
-                1.0 / s.mean_time_to_slowdown,
-            );
-            engine.schedule(dt, FabricEvent::SlowdownStart { tier: t });
-        }
-        if let Some(o) = tier.outage {
-            let dt = sample_exp(
-                sim.tiers[t].rng_outage.as_mut().expect("outage rng"),
-                1.0 / o.mean_time_to_outage,
-            );
-            engine.schedule(dt, FabricEvent::OutageStart { tier: t });
-        }
-    }
-
+    sim.schedule_initial_events(&mut engine.queue);
     engine.run(&mut sim, config.horizon);
 
     // Servers still busy at the horizon accrue their partial service.
@@ -1044,7 +1083,135 @@ pub fn run_fabric_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClassConfig, DisciplineKind, FailureConfig, RetryPolicy, TierConfig};
+    use crate::resilience::{OutageConfig, SlowdownConfig};
     use rand::SeedableRng;
+    use ss_distributions::{dyn_dist, Exponential};
+
+    /// Runs the real handler, then checks every idle bit of every tier
+    /// against the state it mirrors.
+    struct IdleBitChecker<'a> {
+        sim: FabricSim<'a>,
+    }
+
+    impl EventHandler for IdleBitChecker<'_> {
+        type Event = FabricEvent;
+
+        fn handle(&mut self, time: f64, event: FabricEvent, queue: &mut EventQueue<FabricEvent>) {
+            self.sim.handle(time, event, queue);
+            for (t, tier) in self.sim.tiers.iter().enumerate() {
+                for (s, server) in tier.servers.iter().enumerate() {
+                    let bit = tier.idle[s / 64] >> (s % 64) & 1 == 1;
+                    assert_eq!(
+                        bit,
+                        server.up && server.in_service.is_none(),
+                        "tier {t} server {s} idle bit out of step at t = {time}"
+                    );
+                }
+                let words = tier.servers.len().div_ceil(64);
+                assert_eq!(tier.idle.len(), words);
+                let spare = 64 * words - tier.servers.len();
+                if spare > 0 {
+                    assert_eq!(tier.idle[words - 1] >> (64 - spare), 0);
+                }
+            }
+        }
+    }
+
+    /// A central-queue tier wider than one bitset word, with per-server
+    /// failures, slowdown epochs and correlated outages, in front of a
+    /// round-robin tier whose servers fail too.
+    fn chaotic_config() -> FabricConfig {
+        let exp = |mean: f64| dyn_dist(Exponential::with_mean(mean));
+        let failure = Some(FailureConfig {
+            mean_time_to_failure: 20.0,
+            mean_time_to_repair: 2.0,
+        });
+        FabricConfig {
+            name: "idle-bits".into(),
+            classes: vec![
+                ClassConfig {
+                    arrivals: ArrivalProcess::Poisson { rate: 30.0 },
+                    holding_cost: 1.0,
+                },
+                ClassConfig {
+                    arrivals: ArrivalProcess::Mmpp {
+                        rates: vec![10.0, 40.0],
+                        switch_rate: 0.5,
+                    },
+                    holding_cost: 2.0,
+                },
+            ],
+            tiers: vec![
+                TierConfig {
+                    servers: 70,
+                    queue_capacity: Some(200),
+                    service: vec![exp(1.0), exp(1.2)],
+                    discipline: DisciplineKind::Cmu,
+                    lb: LbPolicy::CentralQueue,
+                    hop_delay: 0.01,
+                    failure,
+                    breaker: None,
+                    slowdown: Some(SlowdownConfig {
+                        mean_time_to_slowdown: 10.0,
+                        mean_slowdown_duration: 3.0,
+                        rate_multiplier: 0.5,
+                        max_epochs: 0,
+                    }),
+                    outage: Some(OutageConfig {
+                        mean_time_to_outage: 15.0,
+                        mean_outage_duration: 1.0,
+                        max_epochs: 0,
+                    }),
+                },
+                TierConfig {
+                    servers: 3,
+                    queue_capacity: Some(50),
+                    service: vec![exp(0.02), exp(0.02)],
+                    discipline: DisciplineKind::Fifo,
+                    lb: LbPolicy::RoundRobin,
+                    hop_delay: 0.0,
+                    failure,
+                    breaker: None,
+                    slowdown: None,
+                    outage: None,
+                },
+            ],
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: 0.5,
+                multiplier: 2.0,
+            },
+            deadlines: None,
+            shedder: None,
+            sla_window: None,
+            warmup: 5.0,
+            horizon: 100.0,
+        }
+    }
+
+    /// The idle bitset mirrors `up && in_service.is_none()` on every
+    /// server of every tier after every event, through failures,
+    /// recoveries, slowdowns and outages.
+    #[test]
+    fn idle_bits_track_up_and_idle_after_every_event() {
+        let cfg = chaotic_config();
+        cfg.validate();
+        let disciplines = cfg.build_disciplines();
+        let streams = RngStreams::new(11);
+        let mut checker = IdleBitChecker {
+            sim: FabricSim::new(&cfg, &disciplines, &streams),
+        };
+        let mut engine: Engine<IdleBitChecker> = Engine::new();
+        checker.sim.schedule_initial_events(&mut engine.queue);
+        engine.run(&mut checker, cfg.horizon);
+        // The run really went through every transition the bits follow.
+        let front = &checker.sim.tiers[0];
+        assert!(engine.events_processed > 10_000);
+        assert!(front.outage_epochs > 0 && front.slowdown_epochs > 0);
+        assert!(checker.sim.tiers.iter().all(|t| t.dropped > 0));
+        assert!(front.servers.iter().any(|s| s.epoch > 1));
+    }
 
     /// The positive-rate guard must hold in release builds too (promoted
     /// from `debug_assert!` by the ss-lint L003 audit): a zero rate would

@@ -5,44 +5,50 @@
 //! preemptive schedulers and in deterministic-service models) resolve in a
 //! deterministic first-scheduled-first-served order, so every simulation in
 //! the workspace is exactly reproducible from its seed.
+//!
+//! ## Layout
+//!
+//! The calendar is a binary min-heap of 24-byte `(time, seq, slot)` keys
+//! over a payload slab: the event itself sits in `slab[slot]` from
+//! `schedule` to `pop` and never moves, and a freed slot is reused by the
+//! next `schedule`.  A sift therefore copies 24 bytes per level instead of
+//! a whole `(time, seq, event)` entry (72 bytes for the fabric's events).
+//!
+//! ## Order contract
+//!
+//! Times are finite (checked in release builds by
+//! [`EventQueue::schedule`]), so `(time, seq)` is a strict total order
+//! compared with `<` and `==` on the times: `-0.0` and `+0.0` are the same
+//! instant and fall through to `seq`.  Sequence numbers are unique, so the
+//! pop order is fully determined by the schedule calls — any correct heap
+//! gives the same sequence — and a popped time carries the exact bits it
+//! was scheduled with.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-struct Entry<E> {
+/// One calendar entry's ordering key and the slab slot of its payload.
+#[derive(Clone, Copy)]
+struct Key {
     time: f64,
     seq: u64,
-    event: E,
+    slot: usize,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering so the BinaryHeap (a max-heap) pops the earliest
-        // time first; ties broken by insertion sequence.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Key {
+    /// Strict `(time, seq)` order; times are finite, so `==` makes `-0.0`
+    /// and `+0.0` one instant and the tie goes to the earlier `seq`.
+    #[inline]
+    fn before(&self, other: &Key) -> bool {
+        self.time < other.time || (self.time == other.time && self.seq < other.seq)
     }
 }
 
 /// A future-event list.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Binary min-heap of keys: `heap[0]` is the earliest event.
+    heap: Vec<Key>,
+    /// Payloads, addressed by `Key::slot`; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots of `slab`, reused last-freed-first.
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -56,7 +62,9 @@ impl<E> EventQueue<E> {
     /// Create an empty calendar.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -66,12 +74,36 @@ impl<E> EventQueue<E> {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        let key = Key { time, seq, slot };
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1, key);
     }
 
     /// Remove and return the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.sift_down_from_root(last);
+                top
+            }
+            None => last,
+        };
+        let event = self.slab[top.slot]
+            .take()
+            .expect("a queued key owns a filled slot");
+        self.free.push(top.slot);
+        Some((top.time, event))
     }
 
     /// Remove and return the earliest event only if it occurs at or before
@@ -81,15 +113,15 @@ impl<E> EventQueue<E> {
     /// built on: an event past the horizon stays scheduled, so a run can be
     /// resumed later with a larger horizon without losing events.
     pub fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, E)> {
-        match self.heap.peek() {
-            Some(e) if e.time <= horizon => self.pop(),
+        match self.heap.first() {
+            Some(k) if k.time <= horizon => self.pop(),
             _ => None,
         }
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.first().map(|k| k.time)
     }
 
     /// Number of pending events.
@@ -105,6 +137,44 @@ impl<E> EventQueue<E> {
     /// Drop all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
+    }
+
+    /// Place `key` at the hole `pos` or above it, moving later parents
+    /// down.
+    fn sift_up(&mut self, mut pos: usize, key: Key) {
+        let heap = &mut self.heap[..];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !key.before(&heap[parent]) {
+                break;
+            }
+            heap[pos] = heap[parent];
+            pos = parent;
+        }
+        heap[pos] = key;
+    }
+
+    /// Place `key` at the vacated root or below it, moving earlier
+    /// children up.
+    fn sift_down_from_root(&mut self, key: Key) {
+        let heap = &mut self.heap[..];
+        let end = heap.len();
+        let mut pos = 0;
+        let mut child = 1;
+        while child < end {
+            if child + 1 < end {
+                child += usize::from(heap[child + 1].before(&heap[child]));
+            }
+            if !heap[child].before(&key) {
+                break;
+            }
+            heap[pos] = heap[child];
+            pos = child;
+            child = 2 * pos + 1;
+        }
+        heap[pos] = key;
     }
 }
 
@@ -142,6 +212,31 @@ mod tests {
         q.schedule(5.0, ());
         assert_eq!(q.peek_time(), Some(5.0));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite, got inf")]
+    fn rejects_infinite_times() {
+        let mut q = EventQueue::new();
+        q.schedule(f64::INFINITY, ());
+    }
+
+    #[test]
+    fn keys_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for round in 0..100 {
+            q.schedule(round as f64, round);
+            q.schedule(round as f64 + 0.5, round);
+            assert_eq!(q.pop(), Some((round as f64, round)));
+            assert_eq!(q.pop(), Some((round as f64 + 0.5, round)));
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.slab.len(), 2);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! used tool in applications of these models"; this crate is that tool for
 //! the workspace.  It provides:
 //!
-//! * [`events`] — a deterministic event calendar (binary heap keyed by
-//!   `(time, sequence)`, so simultaneous events are processed in insertion
-//!   order and runs are exactly reproducible);
+//! * [`events`] — a deterministic event calendar (a binary heap of
+//!   `(time, sequence, slot)` keys over a payload slab, so simultaneous
+//!   events are processed in insertion order and runs are exactly
+//!   reproducible);
 //! * [`engine`] — a small generic driver for event-oriented models;
 //! * [`rng`] — reproducible per-replication random-number streams derived
 //!   from a single master seed (ChaCha8, stream-split by replication index);
